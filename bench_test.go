@@ -19,9 +19,11 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -599,6 +601,47 @@ func BenchmarkFoldingFold(b *testing.B) {
 			s.Counters[cpu.CtrInstructions] = uint64(sigma * 100000)
 			s.Counters[cpu.CtrCycles] = uint64(sigma * 200000)
 			in.Samples = append(in.Samples, s)
+		}
+		instances[k] = in
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := folding.Fold(instances, folding.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFoldingFoldFigure folds a cloud shaped like the Figure 1
+// reproduction's: 3 instances carrying 130,800 samples between them, with
+// the 8 counters of the default PMU programming live (CtrRemoteDRAM stays
+// flat), each accumulating along its own curve over one shared sigma cloud.
+func BenchmarkFoldingFoldFigure(b *testing.B) {
+	const perInstance = 43600
+	const durNs = 1_500_000_000
+	rng := rand.New(rand.NewSource(32))
+	instances := make([]folding.Instance, 3)
+	for k := range instances {
+		in := folding.Instance{T0: uint64(k) * 2 * durNs, T1: uint64(k)*2*durNs + durNs}
+		for c := cpu.CounterID(0); c < cpu.CtrRemoteDRAM; c++ {
+			in.C1[c] = 1_000_000 * uint64(c+1)
+		}
+		times := make([]uint64, perInstance)
+		for i := range times {
+			times[i] = uint64(rng.Int63n(durNs))
+		}
+		slices.Sort(times)
+		in.Samples = make([]folding.Sample, perInstance)
+		for i, dt := range times {
+			sigma := float64(dt) / durNs
+			s := &in.Samples[i]
+			s.TimeNs = in.T0 + dt
+			s.Addr = 0x1000 + uint64(i%4096)*64
+			s.IP = 0x400000 + uint64(i%7)*16
+			for c := cpu.CounterID(0); c < cpu.CtrRemoteDRAM; c++ {
+				s.Counters[c] = uint64(float64(in.C1[c]) * math.Pow(sigma, 0.5+0.25*float64(c)))
+			}
 		}
 		instances[k] = in
 	}

@@ -338,13 +338,19 @@ func (m *Monitor) RegionName(r Region) string {
 	return m.regionNames[r-1]
 }
 
-// counterPairs renders a PMU snapshot as trace pairs. Only programmed
-// counters are emitted: the records of a non-NUMA core carry exactly the
-// historical pair set, and a NUMA-routed core appends the remote-DRAM
-// event.
-func (m *Monitor) counterPairs(snap [cpu.NumCounters]uint64) []trace.TypeValue {
+// counterPairs renders a PMU snapshot as trace pairs following head, in one
+// allocation of exactly the record's size. Only programmed counters are
+// emitted: the records of a non-NUMA core carry exactly the historical pair
+// set, and a NUMA-routed core appends the remote-DRAM event.
+func (m *Monitor) counterPairs(snap [cpu.NumCounters]uint64, head ...trace.TypeValue) []trace.TypeValue {
 	pmu := m.core.PMU()
-	pairs := make([]trace.TypeValue, 0, cpu.NumCounters)
+	n := len(head)
+	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
+		if pmu.Programmed(c) {
+			n++
+		}
+	}
+	pairs := append(make([]trace.TypeValue, 0, n), head...)
 	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
 		if !pmu.Programmed(c) {
 			continue
@@ -380,9 +386,7 @@ func (m *Monitor) EnterRegion(r Region) {
 	if !m.enabled {
 		return
 	}
-	pairs := append([]trace.TypeValue{{Type: trace.TypeRegion, Value: int64(r)}},
-		m.counterPairs(m.core.PMU().Snapshot())...)
-	m.emit(pairs)
+	m.emit(m.counterPairs(m.core.PMU().Snapshot(), trace.TypeValue{Type: trace.TypeRegion, Value: int64(r)}))
 }
 
 // ExitRegion records exit from the innermost region, which must be r.
@@ -398,9 +402,7 @@ func (m *Monitor) ExitRegion(r Region) {
 	// are charged to the core, slightly inflating the region like a real
 	// PEBS interrupt would.
 	m.engine.Flush()
-	pairs := append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 0}},
-		m.counterPairs(m.core.PMU().Snapshot())...)
-	m.emit(pairs)
+	m.emit(m.counterPairs(m.core.PMU().Snapshot(), trace.TypeValue{Type: trace.TypeRegion, Value: 0}))
 }
 
 // PushFrame enters a call frame (for allocation/sample call stacks).
@@ -603,16 +605,15 @@ func (m *Monitor) onDrain(samples []pebs.Sample) {
 		if s.Store {
 			store = 1
 		}
-		pairs := []trace.TypeValue{
-			{Type: trace.TypeSampleAddr, Value: int64(s.Addr)},
-			{Type: trace.TypeSampleLatency, Value: int64(s.Latency)},
-			{Type: trace.TypeSampleSource, Value: int64(s.Source)},
-			{Type: trace.TypeSampleStore, Value: store},
-			{Type: trace.TypeSampleIP, Value: int64(s.IP)},
-			{Type: trace.TypeSampleStack, Value: int64(s.StackID)},
-			{Type: trace.TypeSampleSize, Value: int64(s.Size)},
-		}
-		pairs = append(pairs, m.counterPairs(m.pendingSnaps[i])...)
+		pairs := m.counterPairs(m.pendingSnaps[i],
+			trace.TypeValue{Type: trace.TypeSampleAddr, Value: int64(s.Addr)},
+			trace.TypeValue{Type: trace.TypeSampleLatency, Value: int64(s.Latency)},
+			trace.TypeValue{Type: trace.TypeSampleSource, Value: int64(s.Source)},
+			trace.TypeValue{Type: trace.TypeSampleStore, Value: store},
+			trace.TypeValue{Type: trace.TypeSampleIP, Value: int64(s.IP)},
+			trace.TypeValue{Type: trace.TypeSampleStack, Value: int64(s.StackID)},
+			trace.TypeValue{Type: trace.TypeSampleSize, Value: int64(s.Size)},
+		)
 		m.records = append(m.records, trace.Record{
 			TimeNs: s.TimeNs, Task: m.task, Thread: m.thread, Pairs: pairs,
 		})

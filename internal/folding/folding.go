@@ -86,14 +86,18 @@ func ExtractThread(records []trace.Record, region int64, task, thread int) ([]In
 }
 
 // extract implements Extract and ExtractThread; task == 0 disables the
-// emitter filter.
+// emitter filter. The first pass delimits the instances and counts their
+// samples; the second fills each instance's Samples, allocated at its exact
+// size, from the records the instance spans.
 func extract(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
 	var out []Instance
+	var spans [][2]int // record indices of each instance's entry and exit
 	var cur *Instance
-	depth := 0 // nested sub-regions opened inside the current instance
+	open, n := 0, 0 // entry record and sample count of the current instance
+	depth := 0      // nested sub-regions opened inside the current instance
 	for i := range records {
 		rec := &records[i]
-		if task != 0 && (rec.Task != task || rec.Thread != thread) {
+		if !emittedBy(rec, task, thread) {
 			continue
 		}
 		if v, ok := rec.Get(trace.TypeRegion); ok {
@@ -103,7 +107,7 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 					return nil, fmt.Errorf("folding: nested instance of region %d at %d ns", region, rec.TimeNs)
 				}
 				cur = &Instance{T0: rec.TimeNs, C0: countersOf(rec)}
-				depth = 0
+				open, n, depth = i, 0, 0
 			case v > 0 && cur != nil:
 				depth++
 			case v == 0 && cur != nil:
@@ -117,7 +121,9 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 				// well-nested and indistinguishable from this case.)
 				cur.T1 = rec.TimeNs
 				cur.C1 = countersOf(rec)
+				cur.Samples = make([]Sample, 0, n)
 				out = append(out, *cur)
+				spans = append(spans, [2]int{open, i})
 				cur = nil
 			}
 			// Region events outside any instance — enclosing opens, their
@@ -125,33 +131,53 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 			// not affect extraction.
 			continue
 		}
-		if cur == nil {
-			continue
+		if cur != nil && rec.Has(trace.TypeSampleAddr) {
+			n++
 		}
-		if addr, ok := rec.Get(trace.TypeSampleAddr); ok {
-			s := Sample{TimeNs: rec.TimeNs, Addr: uint64(addr), Counters: countersOf(rec)}
-			if v, ok := rec.Get(trace.TypeSampleLatency); ok {
-				s.Latency = uint64(v)
+	}
+	for k, sp := range spans {
+		in := &out[k]
+		for i := sp[0] + 1; i < sp[1]; i++ {
+			rec := &records[i]
+			if !emittedBy(rec, task, thread) || rec.Has(trace.TypeRegion) {
+				continue
 			}
-			if v, ok := rec.Get(trace.TypeSampleSource); ok {
-				s.Source = memhier.DataSource(v)
+			if addr, ok := rec.Get(trace.TypeSampleAddr); ok {
+				in.Samples = append(in.Samples, sampleOf(rec, addr))
 			}
-			if v, ok := rec.Get(trace.TypeSampleStore); ok {
-				s.Store = v == 1
-			}
-			if v, ok := rec.Get(trace.TypeSampleIP); ok {
-				s.IP = uint64(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleStack); ok {
-				s.StackID = uint32(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleSize); ok {
-				s.Size = int(v)
-			}
-			cur.Samples = append(cur.Samples, s)
 		}
 	}
 	return out, nil
+}
+
+// emittedBy reports whether rec comes from (task, thread); task == 0
+// accepts every emitter.
+func emittedBy(rec *trace.Record, task, thread int) bool {
+	return task == 0 || (rec.Task == task && rec.Thread == thread)
+}
+
+// sampleOf decodes the sample record rec, whose sampled address is addr.
+func sampleOf(rec *trace.Record, addr int64) Sample {
+	s := Sample{TimeNs: rec.TimeNs, Addr: uint64(addr), Counters: countersOf(rec)}
+	if v, ok := rec.Get(trace.TypeSampleLatency); ok {
+		s.Latency = uint64(v)
+	}
+	if v, ok := rec.Get(trace.TypeSampleSource); ok {
+		s.Source = memhier.DataSource(v)
+	}
+	if v, ok := rec.Get(trace.TypeSampleStore); ok {
+		s.Store = v == 1
+	}
+	if v, ok := rec.Get(trace.TypeSampleIP); ok {
+		s.IP = uint64(v)
+	}
+	if v, ok := rec.Get(trace.TypeSampleStack); ok {
+		s.StackID = uint32(v)
+	}
+	if v, ok := rec.Get(trace.TypeSampleSize); ok {
+		s.Size = int(v)
+	}
+	return s
 }
 
 func countersOf(rec *trace.Record) [cpu.NumCounters]uint64 {
@@ -336,55 +362,16 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 		f.MeanTotals[c] /= float64(len(kept))
 	}
 
-	// Fold the counters: gather (sigma, cumulative fraction) points. The
-	// gather buffers are shared across counters (each iteration truncates
-	// and refills them), cutting the per-Fold allocation count: the fitted
-	// curves copy what they need, nothing retains xs/ys.
-	sm := stats.Smoother{Kernel: cfg.Kernel, Bandwidth: cfg.Bandwidth, Lo: 0, Hi: 1}
-	var xs, ys []float64
-	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
-		xs, ys = foldCounter(kept, c, xs[:0], ys[:0])
-		if len(xs) == 0 {
-			// The counter never increments (e.g. stores in a read-only
-			// region): flat zero curves keep all per-counter slices aligned
-			// with the grid.
-			f.Cumulative[c] = make([]float64, len(f.Grid))
-			f.Rates[c] = make([]float64, len(f.Grid))
-			continue
-		}
-		fit, err := sm.Fit(xs, ys, f.Grid)
-		if err != nil {
-			return nil, fmt.Errorf("folding: regressing %v: %w", c, err)
-		}
-		// Cumulative fractions are physically monotone in [0,1]; pin the
-		// endpoints before differentiating.
-		fit = stats.Isotonic(fit)
-		stats.Clamp(fit, 0, 1)
-		fit[0] = 0
-		fit[len(fit)-1] = 1
-		f.Cumulative[c] = fit
-		d, err := stats.Derivative(f.Grid, fit)
-		if err != nil {
-			return nil, err
-		}
-		// dFraction/dSigma × total / duration = events per second.
-		scale := f.MeanTotals[c] / (f.MeanDurationNs / 1e9)
-		rate := make([]float64, len(d))
-		for i, v := range d {
-			if v < 0 {
-				v = 0
-			}
-			rate[i] = v * scale
-		}
-		f.Rates[c] = rate
-	}
-
-	// Fold the memory and source-code samples (pre-sized: every kept sample
-	// yields at most one point of each cloud).
 	var nSamples int
 	for i := range kept {
 		nSamples += len(kept[i].Samples)
 	}
+	if err := f.foldCounters(kept, nSamples); err != nil {
+		return nil, err
+	}
+
+	// Fold the memory and source-code samples (pre-sized: every kept sample
+	// yields at most one point of each cloud).
 	f.Mem = make([]MemPoint, 0, nSamples)
 	f.Lines = make([]LinePoint, 0, nSamples)
 	for i := range kept {
@@ -430,6 +417,115 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 
 	f.Phases = detectPhases(f, cfg)
 	return f, nil
+}
+
+// foldCounters fills the Cumulative and Rates curves of every counter. Each
+// counter's (sigma, cumulative fraction) cloud is gathered into buffers
+// sized for the largest possible cloud (two anchors per instance plus every
+// sample), and the counters whose sigma positions coincide are regressed by
+// one FitMany call: without multiplexing every live counter shares one
+// cloud; under multiplexing each set of counters with the same live
+// instances and kept samples does. One xs buffer is retained per distinct
+// cloud; a counter whose positions match a retained cloud leaves its buffer
+// to the next counter.
+func (f *Folded) foldCounters(kept []Instance, nSamples int) error {
+	type cloud struct {
+		xs   []float64
+		ctrs []cpu.CounterID
+		yss  [][]float64
+	}
+	var clouds []cloud
+	size := 2*len(kept) + nSamples
+	var xs, ys []float64
+	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
+		if xs == nil {
+			xs = make([]float64, 0, size)
+		}
+		if ys == nil {
+			ys = make([]float64, 0, size)
+		}
+		xs, ys = foldCounter(kept, c, xs[:0], ys[:0])
+		if len(xs) == 0 {
+			// The counter never increments (e.g. stores in a read-only
+			// region): flat zero curves keep all per-counter slices aligned
+			// with the grid.
+			f.Cumulative[c] = make([]float64, len(f.Grid))
+			f.Rates[c] = make([]float64, len(f.Grid))
+			continue
+		}
+		k := slices.IndexFunc(clouds, func(cl cloud) bool { return slices.Equal(cl.xs, xs) })
+		if k < 0 {
+			clouds = append(clouds, cloud{xs: xs})
+			k = len(clouds) - 1
+			xs = nil
+		}
+		clouds[k].ctrs = append(clouds[k].ctrs, c)
+		clouds[k].yss = append(clouds[k].yss, ys)
+		ys = nil
+	}
+
+	sm := stats.Smoother{Kernel: f.cfg.Kernel, Bandwidth: f.cfg.Bandwidth, Lo: 0, Hi: 1}
+	for _, cl := range clouds {
+		fits, err := sm.FitMany(cl.xs, cl.yss, f.Grid)
+		if err != nil {
+			return fmt.Errorf("folding: regressing %v: %w", cl.ctrs[0], err)
+		}
+		for i, c := range cl.ctrs {
+			fit := fits[i]
+			// A compact kernel leaves NaN at grid points whose support holds
+			// no sample; a Gaussian fit has none, so this leaves it as is.
+			fillEmptyWindows(fit)
+			// Cumulative fractions are physically monotone in [0,1]; pin the
+			// endpoints before differentiating.
+			fit = stats.Isotonic(fit)
+			stats.Clamp(fit, 0, 1)
+			fit[0] = 0
+			fit[len(fit)-1] = 1
+			f.Cumulative[c] = fit
+			d, err := stats.Derivative(f.Grid, fit)
+			if err != nil {
+				return err
+			}
+			// dFraction/dSigma × total / duration = events per second.
+			scale := f.MeanTotals[c] / (f.MeanDurationNs / 1e9)
+			rate := make([]float64, len(d))
+			for j, v := range d {
+				if v < 0 {
+					v = 0
+				}
+				rate[j] = v * scale
+			}
+			f.Rates[c] = rate
+		}
+	}
+	return nil
+}
+
+// fillEmptyWindows replaces the NaN a compact kernel leaves at grid points
+// with no sample inside its support by the value of the nearest fitted grid
+// point (the lower one on a tie), so the cumulative curve stays finite and
+// Isotonic and Derivative get numbers.
+func fillEmptyWindows(fit []float64) {
+	last := -1 // the previous fitted grid point
+	for i, v := range fit {
+		if math.IsNaN(v) {
+			continue
+		}
+		for j := last + 1; j < i; j++ {
+			if last >= 0 && j-last <= i-j {
+				fit[j] = fit[last]
+			} else {
+				fit[j] = v
+			}
+		}
+		last = i
+	}
+	if last < 0 {
+		return
+	}
+	for j := last + 1; j < len(fit); j++ {
+		fit[j] = fit[last]
+	}
 }
 
 // filterOutliers keeps instances whose duration lies within factor of the

@@ -2,10 +2,12 @@ package folding
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/memhier"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -157,6 +159,138 @@ func TestOutlierFiltering(t *testing.T) {
 	f2, _ := Fold(ins, cfg)
 	if f2.InstancesUsed != 11 {
 		t.Errorf("filtering not disabled: %d", f2.InstancesUsed)
+	}
+}
+
+// muxInstances builds instances shaped like a multiplexed run's: the fixed
+// counters are live everywhere, but Branches is off in instance 1 and
+// L1DMiss in instance 8, and the Stores estimate overshoots its instance
+// total at one sample per instance (the scaled-estimate error that the
+// fraction filter drops). The counters therefore fold over four distinct
+// sigma clouds, two of them of equal size (instances 1 and 8 carry 41
+// samples each).
+func muxInstances() []Instance {
+	ins := synthInstances(12)
+	for k := range ins {
+		in := &ins[k]
+		in.C1[cpu.CtrStores] = 250_000
+		for i := range in.Samples {
+			s := &in.Samples[i]
+			sigma := float64(s.TimeNs-in.T0) / float64(in.DurationNs())
+			s.Counters[cpu.CtrStores] = uint64(sigma * sigma * 250_000)
+			if i == 1+k%5 {
+				s.Counters[cpu.CtrStores] = 260_000
+			}
+		}
+		var off cpu.CounterID = -1
+		switch k {
+		case 1:
+			off = cpu.CtrBranches
+		case 8:
+			off = cpu.CtrL1DMiss
+		}
+		if off >= 0 {
+			in.C1[off] = in.C0[off]
+			for i := range in.Samples {
+				in.Samples[i].Counters[off] = in.C0[off]
+			}
+		}
+	}
+	return ins
+}
+
+// TestFoldSharedCloudsMatchPerCounterFit pins the grouped regression of
+// Fold: with counters spread over several distinct sigma clouds, every
+// Cumulative and Rates curve must carry the same bits as the per-counter
+// computation, one Fit per counter.
+func TestFoldSharedCloudsMatchPerCounterFit(t *testing.T) {
+	ins := muxInstances()
+	cfg := DefaultConfig()
+	f, err := Fold(ins, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := filterOutliers(ins, cfg.OutlierFactor)
+	sm := stats.Smoother{Kernel: cfg.Kernel, Bandwidth: cfg.Bandwidth, Lo: 0, Hi: 1}
+	var clouds [][]float64
+	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
+		xs, ys := foldCounter(kept, c, nil, nil)
+		if len(xs) == 0 {
+			continue
+		}
+		if !slices.ContainsFunc(clouds, func(cl []float64) bool { return slices.Equal(cl, xs) }) {
+			clouds = append(clouds, xs)
+		}
+		fit, err := sm.Fit(xs, ys, f.Grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit = stats.Isotonic(fit)
+		stats.Clamp(fit, 0, 1)
+		fit[0], fit[len(fit)-1] = 0, 1
+		d, err := stats.Derivative(f.Grid, fit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := f.MeanTotals[c] / (f.MeanDurationNs / 1e9)
+		for i := range fit {
+			rate := max(d[i], 0) * scale
+			if math.Float64bits(f.Cumulative[c][i]) != math.Float64bits(fit[i]) ||
+				math.Float64bits(f.Rates[c][i]) != math.Float64bits(rate) {
+				t.Fatalf("%v at %g: folded %v / %v, per-counter fit %v / %v",
+					c, f.Grid[i], f.Cumulative[c][i], f.Rates[c][i], fit[i], rate)
+			}
+		}
+	}
+	if len(clouds) != 4 {
+		t.Fatalf("counters folded over %d distinct clouds, want 4", len(clouds))
+	}
+}
+
+// TestFoldCompactKernelSparseCloud is the regression test for compact
+// kernels on a cloud too sparse to cover the grid: grid points with no
+// sample inside the support must take the nearest fitted value, so every
+// curve is finite, monotone and runs from 0 to 1.
+func TestFoldCompactKernelSparseCloud(t *testing.T) {
+	var ins []Instance
+	for k := 0; k < 4; k++ {
+		ins = append(ins, synthInstance(uint64(k)*2_000_000, 1_000_000, 2, 0x401000, 0x402000, 0x10000000, 1<<20))
+	}
+	for _, k := range []stats.Kernel{stats.Epanechnikov, stats.Uniform} {
+		cfg := DefaultConfig()
+		cfg.Kernel = k
+		cfg.Bandwidth = 0.01
+		f, err := Fold(ins, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c, curve := range f.Cumulative {
+			if f.MeanTotals[c] == 0 {
+				continue
+			}
+			if curve[0] != 0 || curve[len(curve)-1] != 1 {
+				t.Errorf("%v %v: endpoints %g, %g", k, c, curve[0], curve[len(curve)-1])
+			}
+			for i, v := range curve {
+				r := f.Rates[c][i]
+				if math.IsNaN(v) || math.IsNaN(r) || math.IsInf(r, 0) {
+					t.Fatalf("%v %v at %g: cumulative %g, rate %g", k, c, f.Grid[i], v, r)
+				}
+				if i > 0 && v < curve[i-1] {
+					t.Fatalf("%v %v: cumulative curve not monotone at %d", k, c, i)
+				}
+			}
+		}
+	}
+}
+
+func TestFillEmptyWindows(t *testing.T) {
+	nan := math.NaN()
+	fit := []float64{nan, 1, nan, nan, nan, 5, nan}
+	fillEmptyWindows(fit)
+	want := []float64{1, 1, 1, 1, 5, 5, 5}
+	if !slices.Equal(fit, want) {
+		t.Errorf("filled %v, want %v", fit, want)
 	}
 }
 

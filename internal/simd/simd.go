@@ -687,9 +687,11 @@ func (s *Server) runFlight(f *flight) {
 			return
 		}
 		s.cachePut(f.key, b)
+		// Clear the parked state before finish closes done: a waiter woken
+		// by done may assume the job left nothing behind.
+		s.clearParked(f.key)
 		s.met.done.Inc()
 		f.finish(StateDone, b, nil)
-		s.clearParked(f.key)
 		s.log.Info("job done", "key", f.key, "scenario", f.sc.Name,
 			"elapsed", elapsed, "instances", f.progress.Snapshot().InstancesDone)
 

@@ -497,6 +497,47 @@ func TestDrainParksQueuedJobs(t *testing.T) {
 	}
 }
 
+// TestResumedJobClearsStateBeforeDone pins the order of a finished job's
+// last two steps: its parked .job file is gone by the time done closes, so
+// a waiter woken by done sees a clean state directory. A single resume
+// would catch a wrong order only sometimes, so the test resumes many.
+func TestResumedJobClearsStateBeforeDone(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		state := t.TempDir()
+		s, err := New(Config{StateDir: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.resolve(Request{Scenario: "simd_test_fast"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.park(f); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := New(Config{StateDir: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := s2.Resume(); err != nil || n != 1 {
+			t.Fatalf("resume: n=%d err=%v, want 1", n, err)
+		}
+		f2, ok := s2.Lookup(f.key)
+		if !ok {
+			t.Fatal("resumed job not found")
+		}
+		select {
+		case <-f2.done:
+		case <-time.After(30 * time.Second):
+			t.Fatal("resumed job did not finish")
+		}
+		if _, err := os.Stat(s2.jobPath(f.key)); !os.IsNotExist(err) {
+			t.Fatalf("resume %d: %s.job still present when done closed (stat err %v)", i, f.key, err)
+		}
+	}
+}
+
 func TestHealthAndStatsEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

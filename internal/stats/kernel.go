@@ -110,19 +110,37 @@ func (k Kernel) support() float64 {
 }
 
 // Fit evaluates the regression of ys on xs at each grid point. xs need not
-// be sorted. The returned slice is aligned with grid.
-//
-// The evaluation sorts the samples once (materializing the boundary
-// reflections as explicit samples) and restricts every grid point to the
-// samples within the kernel support, turning the naive
-// O(len(grid)·len(xs)) kernel evaluation — the wall-clock bottleneck of
-// folding large traces — into O(len(grid)·window).
+// be sorted and grid may be in any order. The returned slice is aligned with
+// grid. It is FitMany with a single y vector.
 func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
+	fits, err := s.FitMany(xs, [][]float64{ys}, grid)
+	if err != nil {
+		return nil, err
+	}
+	return fits[0], nil
+}
+
+// FitMany evaluates the regression of every y vector of yss on the shared
+// xs at each grid point, returning one curve per y vector, each aligned with
+// grid. Each curve is bit-identical to what a separate regression of that y
+// vector alone would give: the samples are sorted once, every kernel weight
+// is evaluated once and added into each curve's numerator in ascending
+// sample order, and the shared denominator is summed once. Folding regresses
+// every hardware counter over the same sample cloud, so this turns one sort
+// and one weight pass per counter into one of each per cloud.
+//
+// The evaluation sorts the samples (materializing the boundary reflections
+// as explicit samples) and restricts every grid point to the samples within
+// the kernel support, turning the naive O(len(grid)·len(xs)) kernel
+// evaluation into O(len(grid)·window).
+func (s Smoother) FitMany(xs []float64, yss [][]float64, grid []float64) ([][]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoSamples
 	}
-	if len(xs) != len(ys) {
-		return nil, ErrLengths
+	for _, ys := range yss {
+		if len(ys) != len(xs) {
+			return nil, ErrLengths
+		}
 	}
 	if len(grid) < 2 {
 		return nil, ErrBadGrid
@@ -139,29 +157,44 @@ func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
 	if reflect {
 		n *= 3
 	}
-	// Sorted working copy, with reflected samples materialized so the
-	// windowed pass treats them like any other sample.
-	type pt struct{ x, y float64 }
+	// Sorted working copy of the sample positions, each carrying the index
+	// of the sample it came from, with reflected samples materialized so the
+	// windowed pass treats them like any other sample. The comparator reads
+	// only x, so pdqsort's permutation, and with it the order of tied
+	// positions, is the one a sort of (x, y) pairs in the same input order
+	// produces. A stable sort would order ties differently.
+	type pt struct {
+		x   float64
+		src int
+	}
 	pts := make([]pt, 0, n)
 	for j, x := range xs {
-		pts = append(pts, pt{x, ys[j]})
+		pts = append(pts, pt{x, j})
 		if reflect {
 			// Reflect about both boundaries to correct edge bias.
-			pts = append(pts, pt{2*s.Lo - x, ys[j]}, pt{2*s.Hi - x, ys[j]})
+			pts = append(pts, pt{2*s.Lo - x, j}, pt{2*s.Hi - x, j})
 		}
 	}
 	sort.Slice(pts, func(a, b int) bool { return pts[a].x < pts[b].x })
 	cut := s.Kernel.support() * h
 
-	out := make([]float64, len(grid))
+	out := make([][]float64, len(yss))
+	for c := range out {
+		out[c] = make([]float64, len(grid))
+	}
+	num := make([]float64, len(yss))
 	for i, g := range grid {
 		lo := sort.Search(len(pts), func(j int) bool { return pts[j].x >= g-cut })
 		hi := sort.Search(len(pts), func(j int) bool { return pts[j].x > g+cut })
-		var num, den float64
+		clear(num)
+		var den float64
 		for j := lo; j < hi; j++ {
 			w := s.Kernel.weight((g - pts[j].x) / h)
-			num += w * pts[j].y
 			den += w
+			src := pts[j].src
+			for c, ys := range yss {
+				num[c] += w * ys[src]
+			}
 		}
 		if den == 0 {
 			if s.Kernel == Gaussian {
@@ -175,13 +208,19 @@ func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
 				if j >= len(pts) || (j > 0 && g-pts[j-1].x <= pts[j].x-g) {
 					j--
 				}
-				out[i] = pts[j].y
+				for c, ys := range yss {
+					out[c][i] = ys[pts[j].src]
+				}
 				continue
 			}
-			out[i] = math.NaN()
+			for c := range out {
+				out[c][i] = math.NaN()
+			}
 			continue
 		}
-		out[i] = num / den
+		for c := range out {
+			out[c][i] = num[c] / den
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -259,5 +260,168 @@ func TestLinearFit(t *testing.T) {
 	a, b, err = LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
 	if err != nil || a != 0 || b != 2 {
 		t.Errorf("degenerate fit = %g, %g, %v", a, b, err)
+	}
+}
+
+// fitRef is a frozen copy of the per-vector regression Fit performed before
+// FitMany existed: its own sort of (x, y) pairs, two binary searches per grid
+// point and one weight evaluation per (grid point, sample) pair. FitMany
+// must reproduce it bit for bit.
+func fitRef(s Smoother, xs, ys, grid []float64) ([]float64, error) {
+	if len(xs) == 0 {
+		return nil, ErrNoSamples
+	}
+	if len(xs) != len(ys) {
+		return nil, ErrLengths
+	}
+	if len(grid) < 2 {
+		return nil, ErrBadGrid
+	}
+	h := s.Bandwidth
+	if h == 0 {
+		h = silverman(xs)
+	}
+	if h <= 0 {
+		return nil, ErrBadBandwidth
+	}
+	reflect := s.Hi > s.Lo
+	n := len(xs)
+	if reflect {
+		n *= 3
+	}
+	type pt struct{ x, y float64 }
+	pts := make([]pt, 0, n)
+	for j, x := range xs {
+		pts = append(pts, pt{x, ys[j]})
+		if reflect {
+			pts = append(pts, pt{2*s.Lo - x, ys[j]}, pt{2*s.Hi - x, ys[j]})
+		}
+	}
+	sort.Slice(pts, func(a, b int) bool { return pts[a].x < pts[b].x })
+	cut := s.Kernel.support() * h
+
+	out := make([]float64, len(grid))
+	for i, g := range grid {
+		lo := sort.Search(len(pts), func(j int) bool { return pts[j].x >= g-cut })
+		hi := sort.Search(len(pts), func(j int) bool { return pts[j].x > g+cut })
+		var num, den float64
+		for j := lo; j < hi; j++ {
+			w := s.Kernel.weight((g - pts[j].x) / h)
+			num += w * pts[j].y
+			den += w
+		}
+		if den == 0 {
+			if s.Kernel == Gaussian {
+				j := lo
+				if j >= len(pts) || (j > 0 && g-pts[j-1].x <= pts[j].x-g) {
+					j--
+				}
+				out[i] = pts[j].y
+				continue
+			}
+			out[i] = math.NaN()
+			continue
+		}
+		out[i] = num / den
+	}
+	return out, nil
+}
+
+// randomCloud draws n sample positions: half on a coarse lattice that
+// includes the reflection edges 0 and 1 exactly (so positions tie), the
+// rest continuous, all confined to [lo, hi] of the unit interval.
+func randomCloud(rng *rand.Rand, n int, lo, hi float64) []float64 {
+	xs := make([]float64, n)
+	for j := range xs {
+		if rng.Intn(2) == 0 {
+			xs[j] = lo + (hi-lo)*float64(rng.Intn(21))/20
+		} else {
+			xs[j] = lo + (hi-lo)*rng.Float64()
+		}
+	}
+	return xs
+}
+
+// TestFitManyMatchesReference is the differential test of the shared-cloud
+// regression: every curve FitMany returns must equal, bit for bit, a
+// separate reference regression of its y vector. The clouds carry tied
+// positions with different y values, samples exactly on both reflection
+// edges, Silverman bandwidths, all three kernels, grid points outside every
+// window (the Gaussian's nearest-sample fallback and the compact kernels'
+// NaN) and non-ascending grids.
+func TestFitManyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20170814))
+	shuffled := UniformGrid(0, 1, 60)
+	rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+	grids := map[string][]float64{
+		"ascending":  UniformGrid(0, 1, 101),
+		"shuffled":   shuffled,
+		"descending": UniformGrid(1, -0.5, 40),
+		"sawtooth":   {0, 0.5, 0.25, 0.25, 1, 0.75, -0.2, 1.3},
+	}
+	bandwidths := []float64{0, 0.002, 0.02, 0.3}
+	for trial := 0; trial < 6; trial++ {
+		n := 1 + rng.Intn(300)
+		// Alternate full-range clouds with clouds bunched mid-interval, whose
+		// grid points near the edges lie outside every window.
+		lo, hi := 0.0, 1.0
+		if trial%2 == 1 {
+			lo, hi = 0.45, 0.55
+		}
+		xs := randomCloud(rng, n, lo, hi)
+		yss := make([][]float64, 1+rng.Intn(9))
+		for c := range yss {
+			yss[c] = make([]float64, n)
+			for j := range yss[c] {
+				yss[c][j] = rng.NormFloat64()
+			}
+		}
+		for _, k := range []Kernel{Gaussian, Epanechnikov, Uniform} {
+			for _, bw := range bandwidths {
+				for _, reflect := range []bool{false, true} {
+					sm := Smoother{Kernel: k, Bandwidth: bw}
+					if reflect {
+						sm.Hi = 1
+					}
+					for name, grid := range grids {
+						fits, err := sm.FitMany(xs, yss, grid)
+						if err != nil {
+							t.Fatalf("%+v %s: %v", sm, name, err)
+						}
+						for c, ys := range yss {
+							want, err := fitRef(sm, xs, ys, grid)
+							if err != nil {
+								t.Fatal(err)
+							}
+							one, err := sm.Fit(xs, ys, grid)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for i := range grid {
+								if math.Float64bits(fits[c][i]) != math.Float64bits(want[i]) ||
+									math.Float64bits(one[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("trial %d %+v grid %s curve %d: FitMany(%g) = %v, Fit %v, reference %v",
+										trial, sm, name, c, grid[i], fits[c][i], one[i], want[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFitManyErrors pins FitMany's input validation: every y vector must
+// match xs in length.
+func TestFitManyErrors(t *testing.T) {
+	xs := []float64{0.1, 0.2, 0.3}
+	grid := UniformGrid(0, 1, 5)
+	if _, err := (Smoother{}).FitMany(xs, [][]float64{{1, 2, 3}, {1, 2}}, grid); err != ErrLengths {
+		t.Errorf("short second vector: err = %v", err)
+	}
+	fits, err := (Smoother{}).FitMany(xs, nil, grid)
+	if err != nil || len(fits) != 0 {
+		t.Errorf("no vectors: %v, %v", fits, err)
 	}
 }
