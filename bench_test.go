@@ -34,6 +34,8 @@ import (
 	"repro/internal/memhier"
 	"repro/internal/numa"
 	"repro/internal/pebs"
+	"repro/internal/prog"
+	"repro/internal/report"
 	"repro/internal/reuse"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -672,30 +674,133 @@ func BenchmarkReuseDistance(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncode measures binary trace encoding throughput.
+// BenchmarkTraceEncode measures trace encoding throughput: binary is the
+// compact varint form, prv the Paraver text form every pipeline writes,
+// over Figure-1-shaped records (7 sample pairs + 8 counter pairs each, at
+// about the record count of the Figure 1 trace).
 func BenchmarkTraceEncode(b *testing.B) {
-	recs := make([]trace.Record, 10000)
-	for i := range recs {
-		recs[i] = trace.Record{
-			TimeNs: uint64(i) * 100, Task: 1, Thread: 1,
-			Pairs: []trace.TypeValue{
-				{Type: trace.TypeSampleAddr, Value: int64(i) * 64},
-				{Type: trace.TypeSampleLatency, Value: 36},
-			},
+	b.Run("binary", func(b *testing.B) {
+		recs := make([]trace.Record, 10000)
+		for i := range recs {
+			recs[i] = trace.Record{
+				TimeNs: uint64(i) * 100, Task: 1, Thread: 1,
+				Pairs: []trace.TypeValue{
+					{Type: trace.TypeSampleAddr, Value: int64(i) * 64},
+					{Type: trace.TypeSampleLatency, Value: 36},
+				},
+			}
 		}
-	}
-	// Measure the actual encoded size once so the reported throughput is
-	// bytes of output per second, not records per second.
-	var cw countingWriter
-	if err := trace.WriteBinary(&cw, 1, 1, 0, recs); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(cw.n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := trace.WriteBinary(io.Discard, 1, 1, 0, recs); err != nil {
+		// Measure the actual encoded size once so the reported throughput is
+		// bytes of output per second, not records per second.
+		var cw countingWriter
+		if err := trace.WriteBinary(&cw, 1, 1, 0, recs); err != nil {
 			b.Fatal(err)
 		}
+		b.SetBytes(cw.n)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := trace.WriteBinary(io.Discard, 1, 1, 0, recs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("prv", func(b *testing.B) {
+		const nRecs = 131072
+		const nPairs = 15
+		rng := rand.New(rand.NewSource(15))
+		pairs := make([]trace.TypeValue, nRecs*nPairs)
+		recs := make([]trace.Record, nRecs)
+		for i := range recs {
+			p := pairs[i*nPairs : (i+1)*nPairs]
+			p[0] = trace.TypeValue{Type: trace.TypeSampleAddr, Value: 0x2adf00000000 + rng.Int63n(1<<30)&^7}
+			p[1] = trace.TypeValue{Type: trace.TypeSampleLatency, Value: 4 + rng.Int63n(400)}
+			p[2] = trace.TypeValue{Type: trace.TypeSampleSource, Value: rng.Int63n(5)}
+			p[3] = trace.TypeValue{Type: trace.TypeSampleStore, Value: rng.Int63n(2)}
+			p[4] = trace.TypeValue{Type: trace.TypeSampleIP, Value: 0x400000 + rng.Int63n(1<<12)}
+			p[5] = trace.TypeValue{Type: trace.TypeSampleStack, Value: rng.Int63n(64)}
+			p[6] = trace.TypeValue{Type: trace.TypeSampleSize, Value: 8}
+			for c := 0; c < 8; c++ {
+				p[7+c] = trace.TypeValue{Type: trace.TypeCounterBase + uint32(c), Value: int64(i) * int64(400+c*997)}
+			}
+			recs[i] = trace.Record{TimeNs: uint64(i) * 1237, Task: 1, Thread: 1, Pairs: p}
+		}
+		encode := func(w io.Writer) error {
+			tw, err := trace.NewWriter(w, 1, 1, uint64(nRecs)*1237)
+			if err != nil {
+				return err
+			}
+			for _, r := range recs {
+				if err := tw.Write(r); err != nil {
+					return err
+				}
+			}
+			return tw.Close()
+		}
+		var cw countingWriter
+		if err := encode(&cw); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(cw.n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := encode(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkReportCSV measures the Figure 1 top (lines) and middle (mem)
+// panel CSV writers over as many folded points as the Figure 1 run emits.
+func BenchmarkReportCSV(b *testing.B) {
+	const nPoints = 131072
+	bin := prog.NewBinary()
+	fn, err := bin.AddFunction("ComputeSPMV_ref", "ComputeSPMV_ref.cpp", 60, 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(131))
+	folded := &folding.Folded{
+		Lines: make([]folding.LinePoint, nPoints),
+		Mem:   make([]folding.MemPoint, nPoints),
+	}
+	for i := range folded.Lines {
+		sigma := rng.Float64()
+		ip, err := fn.IPForLine(60 + rng.Intn(40))
+		if err != nil {
+			b.Fatal(err)
+		}
+		folded.Lines[i] = folding.LinePoint{Sigma: sigma, IP: ip}
+		folded.Mem[i] = folding.MemPoint{
+			Sigma: sigma, Addr: 0x2adf00000000 + uint64(rng.Int63n(1<<30))&^7,
+			Store: rng.Intn(4) == 0, Latency: uint64(4 + rng.Intn(400)),
+			Source: memhier.DataSource(rng.Intn(4)), IP: ip,
+		}
+	}
+	fig := &report.Figure1{Folded: folded, Binary: bin}
+	objectOf := func(uint64) string { return "124_GenerateProblem_ref.cpp" }
+	for _, bc := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"lines", func(w io.Writer) error { return report.WriteLinesCSV(w, fig) }},
+		{"mem", func(w io.Writer) error { return report.WriteMemCSV(w, fig, objectOf) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var cw countingWriter
+			if err := bc.write(&cw); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(cw.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bc.write(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,10 +1,12 @@
 package report
 
 import (
-	"encoding/csv"
-	"fmt"
+	"bufio"
 	"io"
 	"strconv"
+	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/cpu"
 	"repro/internal/folding"
@@ -12,8 +14,8 @@ import (
 
 // WriteLinesCSV emits the top panel's data: sigma, ip, function, line.
 func WriteLinesCSV(w io.Writer, f *Figure1) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"sigma", "ip", "function", "file", "line"}); err != nil {
+	r := newCSVRow(w)
+	if err := r.header("sigma", "ip", "function", "file", "line"); err != nil {
 		return err
 	}
 	for _, lp := range f.Folded.Lines {
@@ -21,24 +23,23 @@ func WriteLinesCSV(w io.Writer, f *Figure1) error {
 		if loc, ok := f.Binary.Lookup(lp.IP); ok {
 			fn, file, line = loc.Function, loc.File, loc.Line
 		}
-		rec := []string{
-			formatFloat(lp.Sigma),
-			fmt.Sprintf("%#x", lp.IP),
-			fn, file, strconv.Itoa(line),
-		}
-		if err := cw.Write(rec); err != nil {
+		r.float(lp.Sigma)
+		r.hex(lp.IP)
+		r.str(fn)
+		r.str(file)
+		r.int(line)
+		if err := r.end(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return r.w.Flush()
 }
 
 // WriteMemCSV emits the middle panel's data: sigma, addr, kind, latency,
 // source, and the owning object (resolved through the registry snapshot).
 func WriteMemCSV(w io.Writer, f *Figure1, objectOf func(addr uint64) string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"sigma", "addr", "kind", "latency", "source", "object"}); err != nil {
+	r := newCSVRow(w)
+	if err := r.header("sigma", "addr", "kind", "latency", "source", "object"); err != nil {
 		return err
 	}
 	for _, mp := range f.Folded.Mem {
@@ -50,29 +51,25 @@ func WriteMemCSV(w io.Writer, f *Figure1, objectOf func(addr uint64) string) err
 		if objectOf != nil {
 			obj = objectOf(mp.Addr)
 		}
-		rec := []string{
-			formatFloat(mp.Sigma),
-			fmt.Sprintf("%#x", mp.Addr),
-			kind,
-			strconv.FormatUint(mp.Latency, 10),
-			mp.Source.String(),
-			obj,
-		}
-		if err := cw.Write(rec); err != nil {
+		r.float(mp.Sigma)
+		r.hex(mp.Addr)
+		r.str(kind)
+		r.uint(mp.Latency)
+		r.str(mp.Source.String())
+		r.str(obj)
+		if err := r.end(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return r.w.Flush()
 }
 
 // WriteCountersCSV emits the bottom panel's series: sigma, MIPS and the
 // per-instruction ratios.
 func WriteCountersCSV(w io.Writer, f *folding.Folded) error {
-	cw := csv.NewWriter(w)
-	header := []string{"sigma", "mips", "branches_per_instr",
-		"l1d_miss_per_instr", "l2_miss_per_instr", "l3_miss_per_instr"}
-	if err := cw.Write(header); err != nil {
+	r := newCSVRow(w)
+	if err := r.header("sigma", "mips", "branches_per_instr",
+		"l1d_miss_per_instr", "l2_miss_per_instr", "l3_miss_per_instr"); err != nil {
 		return err
 	}
 	mips := f.MIPS()
@@ -81,46 +78,127 @@ func WriteCountersCSV(w io.Writer, f *folding.Folded) error {
 	l2 := f.PerInstruction(cpu.CtrL2Miss)
 	l3 := f.PerInstruction(cpu.CtrL3Miss)
 	for i, g := range f.Grid {
-		rec := []string{
-			formatFloat(g), formatFloat(mips[i]), formatFloat(br[i]),
-			formatFloat(l1[i]), formatFloat(l2[i]), formatFloat(l3[i]),
-		}
-		if err := cw.Write(rec); err != nil {
+		r.float(g)
+		r.float(mips[i])
+		r.float(br[i])
+		r.float(l1[i])
+		r.float(l2[i])
+		r.float(l3[i])
+		if err := r.end(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return r.w.Flush()
 }
 
 // WritePhasesCSV emits the phase table.
 func WritePhasesCSV(w io.Writer, f *folding.Folded) error {
-	cw := csv.NewWriter(w)
-	header := []string{"phase", "lo", "hi", "direction", "duration_ns",
+	r := newCSVRow(w)
+	if err := r.header("phase", "lo", "hi", "direction", "duration_ns",
 		"mips", "l1d_miss_per_instr", "l3_miss_per_instr", "span_bandwidth_mb_s",
-		"loads", "stores"}
-	if err := cw.Write(header); err != nil {
+		"loads", "stores"); err != nil {
 		return err
 	}
 	for i, p := range f.Phases {
 		name := p.Name
 		if name == "" {
-			name = fmt.Sprintf("phase%d", i)
+			name = "phase" + strconv.Itoa(i)
 		}
-		rec := []string{
-			name, formatFloat(p.Lo), formatFloat(p.Hi), p.Direction.String(),
-			formatFloat(p.DurationNs), formatFloat(p.MIPSMean),
-			formatFloat(p.PerInstr[cpu.CtrL1DMiss]),
-			formatFloat(p.PerInstr[cpu.CtrL3Miss]),
-			formatFloat(p.SpanBandwidth / 1e6),
-			strconv.Itoa(p.Loads), strconv.Itoa(p.Stores),
-		}
-		if err := cw.Write(rec); err != nil {
+		r.str(name)
+		r.float(p.Lo)
+		r.float(p.Hi)
+		r.str(p.Direction.String())
+		r.float(p.DurationNs)
+		r.float(p.MIPSMean)
+		r.float(p.PerInstr[cpu.CtrL1DMiss])
+		r.float(p.PerInstr[cpu.CtrL3Miss])
+		r.float(p.SpanBandwidth / 1e6)
+		r.int(p.Loads)
+		r.int(p.Stores)
+		if err := r.end(); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return r.w.Flush()
 }
 
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
+// csvRow encodes CSV rows by appending every field into one reused buffer
+// and writing each finished row once. Its bytes equal an encoding/csv
+// Writer (comma separator, LF line ends) fed strconv.FormatFloat(v, 'g',
+// 6, 64) floats, %#x hex and decimal integers. Each field appends its
+// separator after itself; end turns the last one into the line end.
+type csvRow struct {
+	w *bufio.Writer
+	b []byte
+}
+
+func newCSVRow(w io.Writer) *csvRow { return &csvRow{w: bufio.NewWriter(w)} }
+
+func (r *csvRow) float(v float64) { r.b = append(strconv.AppendFloat(r.b, v, 'g', 6, 64), ',') }
+
+// hex matches fmt's %#x, including "0x0" for zero.
+func (r *csvRow) hex(v uint64) {
+	r.b = append(strconv.AppendUint(append(r.b, "0x"...), v, 16), ',')
+}
+
+func (r *csvRow) int(v int) { r.b = append(strconv.AppendInt(r.b, int64(v), 10), ',') }
+
+func (r *csvRow) uint(v uint64) { r.b = append(strconv.AppendUint(r.b, v, 10), ',') }
+
+// str appends a text field, quoted under encoding/csv's rule: a field is
+// quoted when it is `\.`, contains a comma, quote, CR or LF, or starts
+// with a Unicode space; inside quotes a quote is doubled and CR and LF are
+// copied as they are.
+func (r *csvRow) str(s string) {
+	if !csvNeedsQuotes(s) {
+		r.b = append(append(r.b, s...), ',')
+		return
+	}
+	r.b = append(r.b, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		r.b = append(append(r.b, s[:i+1]...), '"')
+		s = s[i+1:]
+	}
+	r.b = append(append(r.b, s...), '"', ',')
+}
+
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		// All four special bytes sort at or below ',', so one comparison
+		// clears the letters, digits, '_' and '.' that names are made of.
+		if c := s[i]; c <= ',' && (c == ',' || c == '"' || c == '\r' || c == '\n') {
+			return true
+		}
+	}
+	if s[0] < utf8.RuneSelf {
+		return unicode.IsSpace(rune(s[0]))
+	}
+	r1, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r1)
+}
+
+// header writes one row of plain text fields.
+func (r *csvRow) header(names ...string) error {
+	for _, n := range names {
+		r.str(n)
+	}
+	return r.end()
+}
+
+// end finishes the row and hands it to the buffered writer.
+func (r *csvRow) end() error {
+	r.b[len(r.b)-1] = '\n'
+	_, err := r.w.Write(r.b)
+	r.b = r.b[:0]
+	return err
+}

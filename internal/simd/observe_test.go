@@ -157,6 +157,95 @@ func TestJobLifecycleSpans(t *testing.T) {
 	}
 }
 
+// outcomeProbe is a slog handler that checks, as each job outcome line is
+// logged, whether the job's done channel is already closed.
+type outcomeProbe struct {
+	s *Server
+
+	mu     sync.Mutex
+	logged []string // outcome messages seen
+	late   []string // outcome messages logged after done closed
+}
+
+func (h *outcomeProbe) Enabled(context.Context, slog.Level) bool { return true }
+func (h *outcomeProbe) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *outcomeProbe) WithGroup(string) slog.Handler            { return h }
+
+func (h *outcomeProbe) Handle(_ context.Context, r slog.Record) error {
+	switch r.Message {
+	case "job done", "job checkpointed", "job parked", "job partial", "job failed", "job panicked":
+	default:
+		return nil
+	}
+	var key string
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "key" {
+			key = a.Value.String()
+			return false
+		}
+		return true
+	})
+	f, ok := h.s.Lookup(key)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.logged = append(h.logged, r.Message)
+	if !ok || f.terminal() {
+		h.late = append(h.late, r.Message)
+	}
+	return nil
+}
+
+// TestOutcomeLoggedBeforeDone pins that every job outcome line is logged
+// before the job's done channel closes, so a client woken by done finds the
+// job's log span complete. The probe checks the order at the moment each
+// line is logged, so one job per outcome decides it.
+func TestOutcomeLoggedBeforeDone(t *testing.T) {
+	probe := &outcomeProbe{}
+	s, err := New(Config{StateDir: t.TempDir(), Logger: slog.New(probe)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.s = s
+	wait := func(f *flight) {
+		t.Helper()
+		select {
+		case <-f.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %s did not finish", f.key)
+		}
+	}
+	submit := func(req Request) *flight {
+		t.Helper()
+		f, _, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	wait(submit(Request{Scenario: "simd_test_fast"}))
+	wait(submit(Request{Scenario: "simd_test_panic"}))
+	wait(submit(Request{Scenario: "simd_test_slow", Sampling: samplingSeed(1), TimeoutMs: 20}))
+	parked := submit(Request{Scenario: "simd_test_slow", Sampling: samplingSeed(2)})
+	waitFor(t, 5*time.Second, func() bool { return parked.status().Instances > 2 })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wait(parked)
+
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	want := []string{"job done", "job panicked", "job partial", "job checkpointed"}
+	if strings.Join(probe.logged, ",") != strings.Join(want, ",") {
+		t.Errorf("outcomes logged = %v, want %v", probe.logged, want)
+	}
+	if len(probe.late) > 0 {
+		t.Errorf("outcomes logged after done closed: %v", probe.late)
+	}
+}
+
 // TestConcurrentScrapeDuringDrain hammers every read-side endpoint —
 // /v1/stats, /metrics, and the /v1/jobs/{key}/events stream — while a drain
 // checkpoints a running job and parks a queued one. Run under -race this

@@ -486,11 +486,9 @@ func (s *Server) Submit(req Request) (*flight, bool, error) {
 	// Shared-cache lookup before admission: identical later requests cost
 	// one cache read, no queue slot.
 	if b, ok := s.cacheGet(f.key); ok {
-		s.met.cacheHits.Inc()
-		f.state, f.source, f.metrics = StateDone, SourceCache, b
-		close(f.done)
-		s.remember(f)
-		s.log.Info("job cache hit", "key", f.key, "scenario", f.sc.Name)
+		s.mu.Lock()
+		s.serveHitLocked(f, b)
+		s.mu.Unlock()
 		return f, false, nil
 	}
 	if s.cache != nil {
@@ -504,12 +502,24 @@ func (s *Server) Submit(req Request) (*flight, bool, error) {
 func (s *Server) admit(f *flight, resumeRun bool) (*flight, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.flights[f.key]; ok && !cur.terminal() {
-		// Coalesce: attach to the in-flight execution. Duplicates are free —
-		// no queue slot, no simulation.
-		s.met.coalesced.Inc()
-		s.log.Info("job coalesced", "key", f.key, "scenario", f.sc.Name)
-		return cur, true, nil
+	if cur, ok := s.flights[f.key]; ok {
+		state, _, _ := cur.result()
+		if !terminalState(state) {
+			// Coalesce: attach to the in-flight execution. Duplicates are
+			// free — no queue slot, no simulation.
+			s.met.coalesced.Inc()
+			s.log.Info("job coalesced", "key", f.key, "scenario", f.sc.Name)
+			return cur, true, nil
+		}
+		if state == StateDone {
+			// The key's flight may have finished, and stored its result,
+			// after Submit's cache lookup missed: look again rather than
+			// simulate the key a second time.
+			if b, ok := s.cacheGet(f.key); ok {
+				s.serveHitLocked(f, b)
+				return f, false, nil
+			}
+		}
 	}
 	if s.draining && !resumeRun {
 		s.met.shed503.Inc()
@@ -538,6 +548,16 @@ func (s *Server) admit(f *flight, resumeRun bool) (*flight, bool, error) {
 		"resumed", f.resumed, "queued", len(s.queue))
 	s.dispatchLocked()
 	return f, false, nil
+}
+
+// serveHitLocked completes the unadmitted flight f with an already
+// computed result. Caller holds s.mu.
+func (s *Server) serveHitLocked(f *flight, b []byte) {
+	s.met.cacheHits.Inc()
+	f.state, f.source, f.metrics = StateDone, SourceCache, b
+	close(f.done)
+	s.rememberLocked(f)
+	s.log.Info("job cache hit", "key", f.key, "scenario", f.sc.Name)
 }
 
 // remember records a terminal flight for status queries, evicting the
@@ -613,8 +633,8 @@ func (s *Server) runFlight(f *flight) {
 		if rec := recover(); rec != nil {
 			s.met.panics.Inc()
 			s.met.failed.Inc()
-			f.finish(StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
 			s.log.Error("job panicked", "key", f.key, "scenario", f.sc.Name, "panic", fmt.Sprint(rec))
+			f.finish(StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
 		}
 		s.mu.Lock()
 		delete(s.running, f)
@@ -687,13 +707,15 @@ func (s *Server) runFlight(f *flight) {
 			return
 		}
 		s.cachePut(f.key, b)
-		// Clear the parked state before finish closes done: a waiter woken
-		// by done may assume the job left nothing behind.
+		// Clear the parked state and log the outcome before finish closes
+		// done: a waiter woken by done may assume the job left nothing
+		// behind and its log span is complete. Every outcome below logs
+		// before finish for the same reason.
 		s.clearParked(f.key)
 		s.met.done.Inc()
-		f.finish(StateDone, b, nil)
 		s.log.Info("job done", "key", f.key, "scenario", f.sc.Name,
 			"elapsed", elapsed, "instances", f.progress.Snapshot().InstancesDone)
+		f.finish(StateDone, b, nil)
 
 	case errors.Is(err, core.ErrCheckpointDemanded):
 		// Drain checkpoint taken at an instance boundary; park the request
@@ -705,9 +727,9 @@ func (s *Server) runFlight(f *flight) {
 		}
 		s.met.parked.Inc()
 		s.met.checkpointed.Inc()
-		f.finish(StateCheckpointed, nil, err)
 		s.log.Info("job checkpointed", "key", f.key, "scenario", f.sc.Name,
 			"instances", f.progress.Snapshot().InstancesDone)
+		f.finish(StateCheckpointed, nil, err)
 
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainCancelled):
 		// Hard drain stop of a non-checkpointable run: park the request for
@@ -716,26 +738,26 @@ func (s *Server) runFlight(f *flight) {
 			if perr := s.park(f); perr == nil {
 				s.met.parked.Inc()
 				s.met.checkpointed.Inc()
-				f.finish(StateCheckpointed, nil, err)
 				s.log.Info("job parked", "key", f.key, "scenario", f.sc.Name, "reason", "drain deadline")
+				f.finish(StateCheckpointed, nil, err)
 				return
 			}
 		}
 		s.met.partial.Inc()
-		f.finish(StatePartial, partialBytes(m), err)
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StatePartial, partialBytes(m), err)
 
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline (or a client cancel): partial metrics,
 		// clearly marked, exactly like simrun -timeout.
 		s.met.partial.Inc()
-		f.finish(StatePartial, partialBytes(m), err)
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StatePartial, partialBytes(m), err)
 
 	default:
 		s.met.failed.Inc()
-		f.finish(StateFailed, nil, err)
 		s.log.Error("job failed", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StateFailed, nil, err)
 	}
 }
 

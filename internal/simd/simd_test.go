@@ -538,6 +538,54 @@ func TestResumedJobClearsStateBeforeDone(t *testing.T) {
 	}
 }
 
+// TestAdmitServesFlightFinishedAfterCacheMiss forces the admission race:
+// a request's cache lookup misses, the key's running flight then finishes
+// and stores its result, and only then is the request admitted. Admission
+// must serve the stored result rather than simulate the key again.
+func TestAdmitServesFlightFinishedAfterCacheMiss(t *testing.T) {
+	want := localBytes(t, "simd_test_fast")
+	s, err := New(Config{CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Scenario: "simd_test_fast"}
+	// The late request, past its cache lookup but not yet admitted.
+	late, err := s.resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-first.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("first job did not finish")
+	}
+
+	got, coalesced, err := s.admit(late, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-got.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("late job did not finish")
+	}
+	state, b, err := got.result()
+	if state != StateDone || err != nil || !bytes.Equal(b, want) {
+		t.Errorf("late job = %s (err %v, %d bytes), want done with the first job's bytes", state, err, len(b))
+	}
+	if coalesced {
+		t.Error("a finished flight was reported as coalesced")
+	}
+	if st := s.Stats(); st.Accepted != 1 || st.Simulated != 1 || st.CacheHits != 1 {
+		t.Errorf("accepted=%d simulated=%d cache_hits=%d, want 1/1/1 (no re-simulation)",
+			st.Accepted, st.Simulated, st.CacheHits)
+	}
+}
+
 func TestHealthAndStatsEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")

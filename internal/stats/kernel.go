@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -162,20 +163,18 @@ func (s Smoother) FitMany(xs []float64, yss [][]float64, grid []float64) ([][]fl
 	// windowed pass treats them like any other sample. The comparator reads
 	// only x, so pdqsort's permutation, and with it the order of tied
 	// positions, is the one a sort of (x, y) pairs in the same input order
-	// produces. A stable sort would order ties differently.
-	type pt struct {
-		x   float64
-		src int
-	}
-	pts := make([]pt, 0, n)
+	// produces. slices.SortFunc runs the same pdqsort as sort.Slice and
+	// tests only cmp < 0, which holds exactly when a.x < b.x, so it makes
+	// that permutation too. A stable sort would order ties differently.
+	pts := make([]cloudPoint, 0, n)
 	for j, x := range xs {
-		pts = append(pts, pt{x, j})
+		pts = append(pts, cloudPoint{x, j})
 		if reflect {
 			// Reflect about both boundaries to correct edge bias.
-			pts = append(pts, pt{2*s.Lo - x, j}, pt{2*s.Hi - x, j})
+			pts = append(pts, cloudPoint{2*s.Lo - x, j}, cloudPoint{2*s.Hi - x, j})
 		}
 	}
-	sort.Slice(pts, func(a, b int) bool { return pts[a].x < pts[b].x })
+	slices.SortFunc(pts, cmpCloudPoint)
 	cut := s.Kernel.support() * h
 
 	out := make([][]float64, len(yss))
@@ -223,6 +222,24 @@ func (s Smoother) FitMany(xs []float64, yss [][]float64, grid []float64) ([][]fl
 		}
 	}
 	return out, nil
+}
+
+// cloudPoint is one sample position of FitMany's sorted cloud and the
+// index of the sample it came from.
+type cloudPoint struct {
+	x   float64
+	src int
+}
+
+// cmpCloudPoint orders cloud points by position alone.
+func cmpCloudPoint(a, b cloudPoint) int {
+	if a.x < b.x {
+		return -1
+	}
+	if a.x > b.x {
+		return 1
+	}
+	return 0
 }
 
 // UniformGrid returns n evenly spaced points covering [lo, hi] inclusive.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -407,6 +408,48 @@ func TestFitManyMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCloudSortMatchesSortSlice pins the permutation FitMany's cloud sort
+// makes on tied positions: slices.SortFunc with cmpCloudPoint must order
+// every point, ties included, exactly as sort.Slice comparing positions
+// does, or tied samples would be summed in a different order and change
+// result bits. The inputs are tie-heavy (few distinct positions, ±0 among
+// them) and span the insertion-sort, pivot-selection and
+// pattern-breaking sizes of pdqsort.
+func TestCloudSortMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(4096))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(5000)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(64)
+		}
+		distinct := 1 + rng.Intn(1+n/(1+rng.Intn(50)))
+		pts := make([]cloudPoint, n)
+		for j := range pts {
+			x := float64(rng.Intn(distinct)) / float64(distinct)
+			if x == 0 && rng.Intn(2) == 0 {
+				x = math.Copysign(0, -1)
+			}
+			pts[j] = cloudPoint{x, j}
+		}
+		switch trial % 3 {
+		case 1: // ascending runs, as a mostly-sorted cloud gives
+			slices.SortStableFunc(pts[:n/2], cmpCloudPoint)
+		case 2: // descending, as reflected points come
+			slices.SortStableFunc(pts, cmpCloudPoint)
+			slices.Reverse(pts)
+		}
+		want := slices.Clone(pts)
+		sort.Slice(want, func(a, b int) bool { return want[a].x < want[b].x })
+		slices.SortFunc(pts, cmpCloudPoint)
+		for j := range pts {
+			if pts[j] != want[j] {
+				t.Fatalf("trial %d (n=%d, %d distinct): position %d holds sample %d, sort.Slice put %d there",
+					trial, n, distinct, j, pts[j].src, want[j].src)
 			}
 		}
 	}

@@ -85,6 +85,7 @@ func (r *Record) Has(typ uint32) bool {
 // ordering across threads.
 type Writer struct {
 	w       *bufio.Writer
+	buf     []byte // one record's encoding, reused by every Write
 	records uint64
 	lastNs  map[[2]int]uint64
 	closed  bool
@@ -107,7 +108,8 @@ func NewWriter(w io.Writer, nTasks, nThreads int, durationNs uint64) (*Writer, e
 // ErrTimeRegression reports out-of-order writes on one thread.
 var ErrTimeRegression = errors.New("trace: record time precedes previous record on same thread")
 
-// Write emits one record.
+// Write emits one record. A record is encoded into a scratch buffer the
+// Writer keeps, so steady-state writes do not allocate.
 func (tw *Writer) Write(r Record) error {
 	if tw.closed {
 		return errors.New("trace: write after Close")
@@ -124,13 +126,21 @@ func (tw *Writer) Write(r Record) error {
 	}
 	tw.lastNs[key] = r.TimeNs
 	// Paraver event record: 2:cpu:appl:task:thread:time:type:value...
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "2:1:1:%d:%d:%d", r.Task, r.Thread, r.TimeNs)
+	b := append(tw.buf[:0], "2:1:1:"...)
+	b = strconv.AppendInt(b, int64(r.Task), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(r.Thread), 10)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, r.TimeNs, 10)
 	for _, p := range r.Pairs {
-		fmt.Fprintf(&sb, ":%d:%d", p.Type, p.Value)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, uint64(p.Type), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, p.Value, 10)
 	}
-	sb.WriteByte('\n')
-	if _, err := tw.w.WriteString(sb.String()); err != nil {
+	b = append(b, '\n')
+	tw.buf = b
+	if _, err := tw.w.Write(b); err != nil {
 		return err
 	}
 	tw.records++

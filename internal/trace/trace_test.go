@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -88,6 +90,101 @@ func TestWriterValidation(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Errorf("double close: %v", err)
+	}
+}
+
+// encodePRVRef is a frozen copy of the fmt-based record encoding Writer.Write
+// used before it appended into a reused buffer: the reference the writer's
+// bytes are compared against.
+func encodePRVRef(r Record) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "2:1:1:%d:%d:%d", r.Task, r.Thread, r.TimeNs)
+	for _, p := range r.Pairs {
+		fmt.Fprintf(&sb, ":%d:%d", p.Type, p.Value)
+	}
+	sb.WriteByte('\n')
+	return sb.String()
+}
+
+// TestWriterMatchesFmtReference pins the PRV record bytes to the old fmt
+// encoding on the extremes of every field: min/max int64 values, the
+// largest type and timestamp, multi-digit task and thread ids and 1 to 20
+// pairs per record.
+func TestWriterMatchesFmtReference(t *testing.T) {
+	edgeValues := []int64{0, -1, 1, 9, 10, -10, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	edgeTypes := []uint32{0, 1, TypeRegion, TypeCounterBase + 7, math.MaxUint32}
+	rng := rand.New(rand.NewSource(13))
+	var recs []Record
+	now := uint64(0)
+	for n := 1; n <= 20; n++ {
+		for k := 0; k < 5; k++ {
+			now += uint64(rng.Intn(1 << 20))
+			rec := Record{TimeNs: now, Task: 1 + rng.Intn(120), Thread: 1 + rng.Intn(120)}
+			for j := 0; j < n; j++ {
+				p := TypeValue{Type: rng.Uint32(), Value: rng.Int63() - rng.Int63()}
+				if rng.Intn(2) == 0 {
+					p = TypeValue{Type: edgeTypes[rng.Intn(len(edgeTypes))], Value: edgeValues[rng.Intn(len(edgeValues))]}
+				}
+				rec.Pairs = append(rec.Pairs, p)
+			}
+			recs = append(recs, rec)
+		}
+	}
+	recs = append(recs,
+		Record{TimeNs: math.MaxUint64, Task: 10, Thread: 99, Pairs: []TypeValue{{math.MaxUint32, math.MinInt64}}},
+		Record{TimeNs: math.MaxUint64, Task: math.MaxInt32, Thread: math.MaxInt32, Pairs: []TypeValue{{math.MaxUint32, math.MaxInt64}}})
+
+	var got bytes.Buffer
+	w, err := NewWriter(&got, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "#Paraver (0):1:1\n"
+	for _, r := range recs {
+		want += encodePRVRef(r)
+	}
+	if got.String() != want {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(want, "\n")
+		for i := range wl {
+			if i >= len(gl) || gl[i] != wl[i] {
+				t.Fatalf("line %d differs:\ngot  %.200q\nwant %.200q", i, gl[min(i, len(gl)-1)], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, want %d", len(gl), len(wl))
+	}
+}
+
+// TestWriterWriteDoesNotAllocate pins steady-state Write of a
+// Figure-1-shaped record (7 sample pairs + 8 counter pairs) at zero
+// allocations.
+func TestWriterWriteDoesNotAllocate(t *testing.T) {
+	w, err := NewWriter(io.Discard, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{TimeNs: 1, Task: 1, Thread: 1}
+	for typ := TypeSampleAddr; typ <= TypeSampleSize; typ++ {
+		rec.Pairs = append(rec.Pairs, TypeValue{Type: typ, Value: 0x2adf00001000 + int64(typ)})
+	}
+	for c := uint32(0); c < 8; c++ {
+		rec.Pairs = append(rec.Pairs, TypeValue{Type: TypeCounterBase + c, Value: 123456789 * int64(c+1)})
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		rec.TimeNs += 400
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Write allocates %.1f times per record, want 0", allocs)
 	}
 }
 
