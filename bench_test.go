@@ -228,12 +228,12 @@ func BenchmarkMultiplexing(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Monitor.MuxQuantumNs = 20_000
 		cfg.Monitor.PEBS.Period = 300
-		res, err := core.RunWorkload(cfg, workloads.NewStream(1<<15), 10)
+		res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<15), 10, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		loads, stores = 0, 0
-		for _, mp := range res.Folded.Mem {
+		for _, mp := range res.Threads[0].Folded.Mem {
 			if mp.Store {
 				stores++
 			} else {
@@ -302,7 +302,7 @@ func BenchmarkNUMAStreamPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.NUMA = numa.Config{Sockets: 2, Policy: policy}
-				res, err := core.RunWorkloadSequential(nil, cfg, workloads.NewStream(n), iters, 4)
+				res, err := core.RunWorkload(nil, cfg, workloads.NewStream(n), iters, 4, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -435,12 +435,12 @@ func BenchmarkAblationMuxQuantum(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.Monitor.MuxQuantumNs = q.ns
 				cfg.Monitor.PEBS.Period = 300
-				res, err := core.RunWorkload(cfg, workloads.NewStream(1<<15), 10)
+				res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<15), 10, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var stores, total int
-				for _, mp := range res.Folded.Mem {
+				for _, mp := range res.Threads[0].Folded.Mem {
 					total++
 					if mp.Store {
 						stores++

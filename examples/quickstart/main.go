@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,12 +25,13 @@ func main() {
 	//    than L3, so the triad streams from DRAM).
 	w := workloads.NewStream(1 << 18)
 
-	// 3. Run it under monitoring and fold the iteration region.
-	res, err := core.RunWorkload(cfg, w, 20)
+	// 3. Run it under monitoring on one simulated core and fold the
+	//    iteration region.
+	res, err := core.RunWorkload(context.Background(), cfg, w, 20, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	f := res.Folded
+	f := res.Threads[0].Folded
 
 	fmt.Printf("folded %d instances of %q (mean duration %.3f ms)\n",
 		f.InstancesUsed, w.Name(), f.MeanDurationNs/1e6)
@@ -54,7 +56,7 @@ func main() {
 	for s := memhier.DataSource(0); s < memhier.NumSources; s++ {
 		if s == memhier.SrcDRAMRemote && srcCount[s] == 0 {
 			// Remote DRAM only exists on NUMA-routed machines; the flat
-			// quickstart session can never produce it.
+			// quickstart machine can never produce it.
 			continue
 		}
 		fmt.Printf("  %-5s %6.1f%%\n", s, 100*float64(srcCount[s])/float64(len(f.Mem)))

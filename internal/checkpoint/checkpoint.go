@@ -42,13 +42,15 @@ type ThreadState struct {
 // boundary.
 type Snapshot struct {
 	// Tag fingerprints the producing configuration (scenario name, thread
-	// count, reference/fast path). Resume refuses a mismatched tag.
+	// count, reference/fast path, NUMA topology, sampling configuration).
+	// Resume refuses a mismatched tag.
 	Tag    string
 	Cursor Cursor
 
 	Threads []ThreadState
 	// L3s holds the shared last-level caches of a Machine run (one per
-	// socket); empty for Session runs whose L3 lives inside the hierarchy.
+	// socket); empty on the single-core flat machine, whose L3 lives
+	// inside the hierarchy.
 	L3s []memhier.SharedCacheState
 	// Placement is the NUMA page table, nil for flat runs.
 	Placement *numa.PlacementState

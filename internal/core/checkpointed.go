@@ -9,7 +9,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hpcg"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // ErrCheckpointDemanded is the RunError cause of a run stopped by a
@@ -44,21 +43,28 @@ type Checkpointer struct {
 	Demand func() bool
 	// Progress, when non-nil, receives instance/cycle/cache-level counters
 	// at every instance boundary (atomic stores, no allocation — see
-	// ObserveProgress). Unlike the fields above it does not constrain the
-	// run: a progress-only Checkpointer works with any workload and is
-	// silently dropped on paths without instance boundaries.
+	// ObserveProgress). Unlike the fields above it never changes the run:
+	// observed and unobserved runs execute the identical instruction
+	// stream.
 	Progress *telemetry.Progress
 }
 
 // CheckpointTag fingerprints a run configuration for snapshot validation:
-// resuming under a different scenario, thread count or simulation path
-// would silently diverge, so the tag makes the mismatch loud.
+// resuming under a different scenario, thread count, simulation path,
+// NUMA topology or sampling configuration would silently diverge, so the
+// tag makes the mismatch loud.
 func CheckpointTag(name string, threads int, cfg Config) string {
 	path := "fast"
 	if cfg.Reference {
 		path = "reference"
 	}
-	return fmt.Sprintf("%s|t%d|%s", name, threads, path)
+	tag := fmt.Sprintf("%s|t%d|%s", name, threads, path)
+	if n := cfg.NUMA; n.Sockets > 0 {
+		tag += fmt.Sprintf("|numa:%d,%s,%d,%d", n.Sockets, n.Policy, n.PageSize, n.RemoteDRAMLatency)
+	}
+	p := cfg.Monitor.PEBS
+	return tag + fmt.Sprintf("|pebs:%d,%d,%t,%d,%d|mux:%d",
+		p.Period, p.Events, p.Randomize, p.Seed, p.LatencyThreshold, cfg.Monitor.MuxQuantumNs)
 }
 
 // demanded reports whether a demand trigger is armed and has fired; safe on
@@ -67,58 +73,31 @@ func (ck *Checkpointer) demanded() bool {
 	return ck != nil && ck.Demand != nil && ck.Demand()
 }
 
-func (ck *Checkpointer) emit(snap *checkpoint.Snapshot) error {
+// save snapshots m at cursor cur — with the CG solver state when cg is
+// non-nil — and hands the snapshot to the sink.
+func (ck *Checkpointer) save(m *Machine, cur checkpoint.Cursor, cg *hpcg.CGRun) error {
+	snap, err := m.Snapshot(cur, ck.Tag)
+	if err != nil {
+		return err
+	}
+	if cg != nil {
+		st := cg.State()
+		snap.CG = &st
+	}
 	if err := faultinject.Hit(faultinject.PointCheckpoint); err != nil {
-		return fmt.Errorf("core: checkpoint at (thread %d, iter %d): %w", snap.Cursor.Thread, snap.Cursor.Iter, err)
+		return fmt.Errorf("core: checkpoint at (thread %d, iter %d): %w", cur.Thread, cur.Iter, err)
 	}
 	if ck.Sink == nil {
 		return nil
 	}
 	if err := ck.Sink(snap); err != nil {
-		return fmt.Errorf("core: checkpoint sink at (thread %d, iter %d): %w", snap.Cursor.Thread, snap.Cursor.Iter, err)
+		return fmt.Errorf("core: checkpoint sink at (thread %d, iter %d): %w", cur.Thread, cur.Iter, err)
 	}
-	return nil
-}
-
-// Snapshot captures the session's full mutable state at an instance
-// boundary.
-func (s *Session) Snapshot(cur checkpoint.Cursor, tag string) (*checkpoint.Snapshot, error) {
-	ms, err := s.Mon.State()
-	if err != nil {
-		return nil, err
-	}
-	return &checkpoint.Snapshot{
-		Tag:      tag,
-		Cursor:   cur,
-		Threads:  []checkpoint.ThreadState{{Mon: ms, Hier: s.Hier.State()}},
-		Registry: s.Mon.Registry().State(),
-	}, nil
-}
-
-// RestoreSnapshot overwrites the mutable state of a session that has been
-// rebuilt by an identical setup (same config, same workload Setup replay).
-func (s *Session) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
-	if snap.Tag != tag {
-		return fmt.Errorf("core: snapshot tag %q does not match run %q", snap.Tag, tag)
-	}
-	if len(snap.Threads) != 1 || len(snap.L3s) != 0 || snap.Placement != nil {
-		return fmt.Errorf("core: snapshot describes a machine run, not a session")
-	}
-	if err := s.Mon.RestoreState(snap.Threads[0].Mon); err != nil {
-		return err
-	}
-	if err := s.Hier.RestoreState(snap.Threads[0].Hier); err != nil {
-		return err
-	}
-	if err := s.Mon.Registry().RestoreState(snap.Registry); err != nil {
-		return err
-	}
-	s.sortedLog, s.sortedLen = nil, 0
 	return nil
 }
 
 // Snapshot captures the machine's full mutable state at an instance
-// boundary of the sequential schedule.
+// boundary.
 func (m *Machine) Snapshot(cur checkpoint.Cursor, tag string) (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{Tag: tag, Cursor: cur}
 	for _, th := range m.Threads {
@@ -182,111 +161,13 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
 	return nil
 }
 
-// RunWorkloadCheckpointed is RunWorkload driven one instance at a time on a
-// Session, with cancellation polls, the instance fault-injection point and
-// optional periodic snapshots between instances. With a nil context and
-// checkpointer the executed instruction stream is identical to RunWorkload.
-// On cancellation it returns the partial result alongside a *RunError.
-func RunWorkloadCheckpointed(ctx context.Context, cfg Config, w workloads.Workload, iters int, ck *Checkpointer) (*RunWorkloadResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rw, resumable := w.(workloads.ResumableWorkload)
-	if ck.checkpoints() && !resumable {
-		return nil, fmt.Errorf("core: workload %q does not support checkpointing (no RunPartitionRange)", w.Name())
-	}
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	wctx := s.Ctx()
-	if err := w.Setup(wctx); err != nil {
-		return nil, err
-	}
-	s.Mon.Start()
-
-	start := 0
-	if ck != nil && ck.Resume != nil {
-		if ck.Resume.Cursor.Thread != 0 {
-			return nil, fmt.Errorf("core: snapshot cursor thread %d on a single-thread session", ck.Resume.Cursor.Thread)
-		}
-		if err := s.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
-			return nil, err
-		}
-		start = ck.Resume.Cursor.Iter
-	}
-
-	var runErr *RunError
-	if resumable {
-		n := rw.Elements()
-		ck.observeSession(s, start)
-		for it := start; it < iters; it++ {
-			cur := checkpoint.Cursor{Thread: 0, Iter: it}
-			if err := ctx.Err(); err != nil {
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-				break
-			}
-			if err := faultinject.Hit(faultinject.PointInstance); err != nil {
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-				break
-			}
-			if ck.demanded() {
-				snap, err := s.Snapshot(cur, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: ErrCheckpointDemanded}
-				break
-			}
-			if err := rw.RunPartitionRange(wctx, it, it+1, 0, n); err != nil {
-				return nil, err
-			}
-			done := it + 1
-			ck.observeSession(s, done)
-			if ck != nil && ck.Every > 0 && done%ck.Every == 0 && done < iters {
-				snap, err := s.Snapshot(checkpoint.Cursor{Iter: done}, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			runErr = &RunError{Thread: 1, Cause: err}
-		} else if err := w.Run(wctx, iters); err != nil {
-			return nil, err
-		} else {
-			// No instance boundaries inside a non-resumable Run: progress
-			// jumps from zero to done.
-			ck.observeSession(s, iters)
-		}
-	}
-	s.Mon.Stop()
-	if runErr != nil {
-		res := &RunWorkloadResult{Session: s, Partial: true}
-		if folded, err := s.Fold(w.Region()); err == nil {
-			res.Folded = folded
-		}
-		return res, runErr
-	}
-	folded, err := s.Fold(w.Region())
-	if err != nil {
-		return nil, err
-	}
-	return &RunWorkloadResult{Session: s, Folded: folded}, nil
-}
-
-// RunHPCGCheckpointed is RunHPCG driven one CG iteration at a time, with
-// cancellation polls, the instance fault-injection point and optional
-// periodic snapshots between iterations. With a nil context and
-// checkpointer the executed instruction stream is identical to RunHPCG.
-// On cancellation it returns the partial result alongside a *RunError.
+// RunHPCGCheckpointed is RunHPCG with cancellation, fault injection,
+// checkpoints and progress: the solve is driven one CG iteration at a time
+// (CGRun.Step) on a 1-core Machine, flat or NUMA-routed. Between
+// iterations it polls ctx and the instance fault-injection point, and the
+// optional checkpointer resumes, snapshots, answers demand checkpoints
+// and publishes progress there. A clean stop returns the partial result
+// alongside a *RunError.
 func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck *Checkpointer) (*HPCGRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -320,7 +201,7 @@ func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck
 	}
 
 	var runErr *RunError
-	ck.observeSession(s, cgr.Result().Iterations)
+	ck.observe(s.Machine, cgr.Result().Iterations)
 	for {
 		cur := checkpoint.Cursor{Iter: cgr.Result().Iterations}
 		if err := ctx.Err(); err != nil {
@@ -332,13 +213,7 @@ func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck
 			break
 		}
 		if ck.demanded() {
-			snap, err := s.Snapshot(cur, ck.Tag)
-			if err != nil {
-				return nil, err
-			}
-			cgs := cgr.State()
-			snap.CG = &cgs
-			if err := ck.emit(snap); err != nil {
+			if err := ck.save(s.Machine, cur, cgr); err != nil {
 				return nil, err
 			}
 			runErr = &RunError{Thread: 1, Cursor: cur, Cause: ErrCheckpointDemanded}
@@ -348,44 +223,31 @@ func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck
 		if err != nil {
 			return nil, err
 		}
-		ck.observeSession(s, cgr.Result().Iterations)
+		k := cgr.Result().Iterations
+		ck.observe(s.Machine, k)
 		if done {
 			break
 		}
-		if k := cgr.Result().Iterations; ck != nil && ck.Every > 0 && k%ck.Every == 0 {
-			snap, err := s.Snapshot(checkpoint.Cursor{Iter: k}, ck.Tag)
-			if err != nil {
-				return nil, err
-			}
-			cgs := cgr.State()
-			snap.CG = &cgs
-			if err := ck.emit(snap); err != nil {
+		if ck != nil && ck.Every > 0 && k%ck.Every == 0 {
+			if err := ck.save(s.Machine, checkpoint.Cursor{Iter: k}, cgr); err != nil {
 				return nil, err
 			}
 		}
 	}
 	s.Mon.Stop()
-	if runErr != nil {
-		run := &HPCGRun{Session: s, Problem: problem, CG: cgr.Result(), Partial: true}
-		if folded, err := s.Fold(problem.RegionIteration); err == nil {
-			run.Folded = folded
-			run.Paper = LabelPaperPhases(folded, s.FuncOf)
-		}
-		return run, runErr
-	}
+	run := &HPCGRun{Session: s, Problem: problem, CG: cgr.Result(), Partial: runErr != nil}
 	folded, err := s.Fold(problem.RegionIteration)
-	if err != nil {
+	if err == nil {
+		run.Folded = folded
+		run.Paper = LabelPaperPhases(folded, s.FuncOf)
+	}
+	switch {
+	case runErr != nil:
+		// A partial run keeps whatever folded (nothing if no iteration
+		// finished) and reports the clean stop.
+		return run, runErr
+	case err != nil:
 		return nil, err
 	}
-	run := &HPCGRun{Session: s, Problem: problem, CG: cgr.Result(), Folded: folded}
-	run.Paper = LabelPaperPhases(folded, s.FuncOf)
 	return run, nil
-}
-
-// RunWorkloadSequentialCheckpointed is RunWorkloadSequential with periodic
-// snapshots between instances of the deterministic thread-major schedule
-// (thread 1 runs all its iterations, then thread 2, and so on). Resuming a
-// snapshot reproduces the uninterrupted run's metrics and trace exactly.
-func RunWorkloadSequentialCheckpointed(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, false, ck)
 }

@@ -78,7 +78,7 @@ func TestASLRChangesBase(t *testing.T) {
 
 func TestRunWorkloadStream(t *testing.T) {
 	w := workloads.NewStream(1 << 15)
-	res, err := RunWorkload(testConfig(), w, 30)
+	res, err := RunWorkload(nil, testConfig(), w, 30, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRunWorkloadStream(t *testing.T) {
 			t.Fatalf("triad wrong at %d: %g != %g", i, w.Value(i), w.Expected(i))
 		}
 	}
-	f := res.Folded
+	f := res.Threads[0].Folded
 	if f.InstancesUsed < 25 {
 		t.Errorf("folded instances = %d", f.InstancesUsed)
 	}
@@ -258,12 +258,12 @@ func TestHPCGFigure1Renders(t *testing.T) {
 
 func TestWriteTraceRoundTrip(t *testing.T) {
 	w := workloads.NewStream(1 << 12)
-	res, err := RunWorkload(testConfig(), w, 5)
+	res, err := RunWorkload(nil, testConfig(), w, 5, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prv, pcf bytes.Buffer
-	if err := res.Session.WriteTrace(&prv, &pcf); err != nil {
+	if err := res.Machine.WriteTrace(&prv, &pcf); err != nil {
 		t.Fatal(err)
 	}
 	if prv.Len() == 0 || pcf.Len() == 0 {

@@ -24,6 +24,7 @@ type runWorkload struct {
 	region extrae.Region
 	base   uint64
 	ip     uint64
+	rng    *rand.Rand
 }
 
 func (w *runWorkload) Name() string          { return "line_run_property" }
@@ -43,12 +44,21 @@ func (w *runWorkload) Setup(ctx *workloads.Ctx) error {
 	return nil
 }
 
-func (w *runWorkload) Run(ctx *workloads.Ctx, iters int) error {
+// Elements is 1: the property workload runs on one core, unpartitioned.
+func (w *runWorkload) Elements() int { return 1 }
+
+// RunPartitionRange draws every window from one seeded generator: the
+// driver runs the windows in order and this workload is never resumed, so
+// the windows continue a single random sequence.
+func (w *runWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
 	core := ctx.Core
-	rng := rand.New(rand.NewSource(w.Seed))
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.Seed))
+	}
+	rng := w.rng
 	strides := []int{1, 3, 4, 8, 12, 16, 56, 64, 72, 128}
 	var runs [4]cpu.LineRun
-	for it := 0; it < iters; it++ {
+	for it := startIter; it < endIter; it++ {
 		ctx.Mon.EnterRegion(w.region)
 		for r := 0; r < w.N; r++ {
 			nb := 1 + rng.Intn(len(runs))
@@ -94,16 +104,16 @@ func TestLineRunPropertyFastVsReference(t *testing.T) {
 			refCfg.Reference = true
 
 			mk := func() *runWorkload { return &runWorkload{Seed: seed * 31, N: 120, Words: 1 << 16} }
-			fast, err := RunWorkload(fastCfg, mk(), 3)
+			fast, err := RunWorkload(nil, fastCfg, mk(), 3, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := RunWorkload(refCfg, mk(), 3)
+			ref, err := RunWorkload(nil, refCfg, mk(), 3, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertRunsIdentical(t, fast.Session, ref.Session)
-			if len(fast.Folded.Mem) == 0 {
+			assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
+			if len(fast.Threads[0].Folded.Mem) == 0 {
 				t.Fatal("no folded samples: equivalence test is vacuous")
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
@@ -30,23 +29,22 @@ type MachineThread struct {
 	Mon  *extrae.Monitor
 }
 
-// Machine is an N-core simulated shared-memory node: N MachineThreads
-// running concurrently (one goroutine each during parallel sections),
-// sharing one address space, one synthetic binary and one data-object
-// registry. Cores are grouped into S sockets (S = 1 unless Config.NUMA
-// asks for more), each socket with its own thread-safe shared L3; on a
-// NUMA machine every DRAM fill additionally resolves through the page
-// placement to its home memory node. A 1-thread Machine is
-// observationally identical to a Session, and a 1-socket NUMA-routed
-// Machine to the flat Machine — the fastpath and partition equivalence
-// suites pin both.
+// Machine is an N-core simulated shared-memory node and the only
+// execution engine: N MachineThreads running concurrently (one goroutine
+// each during parallel sections), sharing one address space, one
+// synthetic binary and one data-object registry. Cores are grouped into S
+// sockets (S = 1 unless Config.NUMA asks for more), each socket with its
+// own thread-safe shared L3; on a NUMA machine every DRAM fill
+// additionally resolves through the page placement to its home memory
+// node. The single-core flat machine keeps its L3 private (see
+// NewMachine); a Session is its view. A 1-socket NUMA-routed Machine is
+// observationally identical to the flat Machine — the partition and NUMA
+// equivalence suites pin it.
 type Machine struct {
 	Cfg     Config
 	Threads []*MachineThread
-	// L3 is socket 0's shared last-level cache (the only one on a
-	// single-socket machine).
-	L3 *memhier.SharedCache
-	// L3s holds every socket's shared L3, indexed by socket.
+	// L3s holds every socket's shared L3, indexed by socket (empty on the
+	// single-core flat machine, whose L3 is private).
 	L3s []*memhier.SharedCache
 	// Sockets is the socket count (1 for the flat machine).
 	Sockets int
@@ -70,20 +68,28 @@ type threadLog struct {
 	n    int
 }
 
-// NewMachine builds an n-thread machine from the session configuration:
-// the last configured cache level becomes the per-socket shared L3, the
-// remaining levels are replicated privately per thread. With
-// cfg.NUMA.Sockets >= 1 the machine is NUMA-routed: threads are grouped
-// into contiguous socket blocks (thread t on socket t*S/n; sockets beyond
-// the thread count hold memory only), and every socket's caches route
-// DRAM traffic through one shared page placement.
+// NewMachine builds an n-thread machine from the configuration: the last
+// configured cache level becomes the per-socket shared L3, the remaining
+// levels are replicated privately per thread. With cfg.NUMA.Sockets >= 1
+// the machine is NUMA-routed: threads are grouped into contiguous socket
+// blocks (thread t on socket t*S/n; sockets beyond the thread count hold
+// memory only), and every socket's caches route DRAM traffic through one
+// shared page placement.
 func NewMachine(cfg Config, n int) (*Machine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: machine needs at least one thread, got %d", n)
 	}
 	cfg = applyReference(cfg)
 	levels := cfg.Cache.Levels
-	if len(levels) < 2 {
+	// One core on the flat machine has nothing to share its L3 with, so it
+	// gets the fully private memhier.New hierarchy. On the fig1_hpcg32
+	// shape (32³, 4 MG levels, 3 CG iterations, period 400) the per-shard
+	// SharedCache mutex made the simulate stage a median 1.46 s against
+	// 1.31 s for the private hierarchy over 14 alternating pairs, with
+	// byte-identical output; TestSharedLLCSingleCoreEquivalence pins
+	// shared ≡ private for one core.
+	private := n == 1 && cfg.NUMA.Sockets == 0
+	if !private && len(levels) < 2 {
 		return nil, fmt.Errorf("core: machine needs >= 2 cache levels (private + shared LLC), got %d", len(levels))
 	}
 	privCfg := memhier.Config{
@@ -125,7 +131,7 @@ func NewMachine(cfg Config, n int) (*Machine, error) {
 		AS:         prog.NewAddressSpace(heapBase(cfg)),
 		threadLogs: make([]threadLog, n),
 	}
-	for s := 0; s < sockets; s++ {
+	for s := 0; s < sockets && !private; s++ {
 		llc, err := memhier.NewSharedCache(levels[len(levels)-1], 0)
 		if err != nil {
 			return nil, err
@@ -139,10 +145,15 @@ func NewMachine(cfg Config, n int) (*Machine, error) {
 		}
 		m.L3s = append(m.L3s, llc)
 	}
-	m.L3 = m.L3s[0]
 	for t := 0; t < n; t++ {
 		socket := t * sockets / n
-		hier, err := memhier.NewWithSharedLLC(privCfg, m.L3s[socket])
+		var hier *memhier.Hierarchy
+		var err error
+		if private {
+			hier, err = memhier.New(cfg.Cache)
+		} else {
+			hier, err = memhier.NewWithSharedLLC(privCfg, m.L3s[socket])
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -221,6 +232,11 @@ func (m *Machine) FuncOf(ip uint64) string {
 // also time-sorts each thread's buffered-PEBS reorderings). The result is
 // memoized; callers must not mutate it.
 func (m *Machine) MergedRecords() []trace.Record {
+	if len(m.Threads) == 1 {
+		// One stream: share thread 1's sorted copy with Fold instead of
+		// holding a second one.
+		return m.threadRecords(0)
+	}
 	var total int
 	for _, th := range m.Threads {
 		total += len(th.Mon.Records())
@@ -264,9 +280,30 @@ func (m *Machine) Fold(region extrae.Region, thread int) (*folding.Folded, error
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("core: no instances of region %q on thread %d", th.Mon.RegionName(region), thread)
 	}
-	// Stack ids are monitor-local, so the outermost-frame attribution must
-	// resolve against this thread's own monitor.
-	return foldInstances(instances, m.Cfg.Folding, region, m.FuncOf, th.Mon)
+	// Bind the config defaults: FuncOf resolves through the binary, and
+	// PhaseIP attributes samples taken under an instrumented call frame to
+	// the outermost frame of this thread's stack table (stack ids are
+	// monitor-local). E.g. the multigrid coarse-level smoother runs the
+	// same code as the fine smoother, but belongs to ComputeMG_ref.
+	cfg := m.Cfg.Folding
+	if cfg.FuncOf == nil {
+		cfg.FuncOf = m.FuncOf
+	}
+	if cfg.PhaseIP == nil {
+		cfg.PhaseIP = func(smp folding.Sample) uint64 {
+			if frames := th.Mon.Stacks().Frames(smp.StackID); len(frames) > 0 {
+				return frames[len(frames)-1]
+			}
+			return smp.IP
+		}
+	}
+	folded, err := folding.Fold(instances, cfg)
+	if err != nil {
+		return nil, err
+	}
+	folded.Region = int64(region)
+	folded.LabelPhases(m.FuncOf)
+	return folded, nil
 }
 
 // WriteTrace serializes the merged multi-thread trace and labels to the
@@ -295,39 +332,24 @@ func (m *Machine) WriteTrace(prv, pcf interface {
 	return m.Primary().Mon.Labels().WritePCF(pcf)
 }
 
-// RunWorkloadParallel runs a partitionable synthetic workload across an
-// n-thread Machine: setup on the primary thread, then one goroutine per
-// thread free-running its static element block (the triad-style workloads
-// have no cross-block dependencies, so no barriers are needed), then one
-// folded analysis per thread. With one thread the run is identical to
-// RunWorkload. Workers poll ctx at instance boundaries and recover panics;
-// either fault surfaces as a *RunError alongside the partial result.
-func RunWorkloadParallel(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, true, nil)
-}
-
-// RunWorkloadSequential is RunWorkloadParallel under a deterministic
-// schedule: the same Machine, partitioning, per-thread monitors and shared
-// L3, but thread t's whole block runs to completion before thread t+1
-// starts. The free-running partitioned workloads have no cross-block
-// dependencies, so the sequential schedule is a legal interleaving; unlike
-// the goroutine schedule it fixes the order of shared-L3 fills, making the
-// run bit-reproducible — the scenario golden-metrics harness depends on
-// this. With one thread both entry points are identical.
-func RunWorkloadSequential(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, false, nil)
-}
-
-func runWorkloadPartitioned(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int, concurrent bool, ck *Checkpointer) (*MachineWorkloadResult, error) {
+// RunWorkload sets up, monitors and folds a partitioned synthetic workload
+// on a threads-core Machine: setup on thread 1, then the deterministic
+// thread-major schedule (thread t runs its static element block to
+// completion before thread t+1 starts), then one folded analysis per
+// thread. The partitions have no cross-block dependencies, so the
+// sequential schedule is a legal interleaving; unlike a goroutine schedule
+// it fixes the order of shared-L3 fills, making every run
+// bit-reproducible. With one thread it is the single-core pipeline.
+//
+// The schedule advances one instance at a time. Between instances — the
+// only program points where the monitors' sampling state is quiescent —
+// it polls ctx and the instance fault-injection point, and the optional
+// checkpointer resumes, snapshots, answers demand checkpoints and
+// publishes progress there. A clean stop returns the partial result
+// alongside a *RunError; any other error is a hard failure.
+func RunWorkload(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	rw, resumable := w.(workloads.ResumableWorkload)
-	if ck.checkpoints() && !resumable {
-		return nil, fmt.Errorf("core: workload %q does not support checkpointing (no RunPartitionRange)", w.Name())
-	}
-	if ck.checkpoints() && concurrent {
-		return nil, fmt.Errorf("core: checkpointing requires the deterministic sequential schedule")
 	}
 	m, err := NewMachine(cfg, threads)
 	if err != nil {
@@ -346,118 +368,34 @@ func runWorkloadPartitioned(ctx context.Context, cfg Config, w workloads.Partiti
 		}
 	}
 	m.StartAll()
-	n := w.Elements()
-	var runErr *RunError
-	if concurrent {
-		runErr = m.runConcurrent(ctx, w, rw, iters, n)
-	} else {
-		runErr, err = m.runSequential(ctx, w, rw, iters, n, ck)
-		if err != nil {
-			return nil, err
-		}
+	runErr, err := m.runSequential(ctx, w, iters, ck)
+	if err != nil {
+		return nil, err
 	}
 	m.StopAll()
-	if runErr != nil {
-		// Partial result: fold whatever threads completed instances. The
-		// caller gets both the data and the structured error.
-		res := &MachineWorkloadResult{Machine: m, Partial: true}
-		for t := 1; t <= len(m.Threads); t++ {
-			folded, err := m.Fold(w.Region(), t)
-			if err != nil {
-				continue
-			}
-			res.Threads = append(res.Threads, MachineThreadRun{Thread: t, Folded: folded})
-		}
-		return res, runErr
-	}
-	res := &MachineWorkloadResult{Machine: m}
+	// A partial result folds whatever threads completed instances; the
+	// caller gets both the data and the structured error.
+	res := &MachineWorkloadResult{Machine: m, Partial: runErr != nil}
 	for t := 1; t <= len(m.Threads); t++ {
 		folded, err := m.Fold(w.Region(), t)
 		if err != nil {
+			if runErr != nil {
+				continue
+			}
 			return nil, err
 		}
 		res.Threads = append(res.Threads, MachineThreadRun{Thread: t, Folded: folded})
 	}
+	if runErr != nil {
+		return res, runErr
+	}
 	return res, nil
 }
 
-// runConcurrent free-runs every thread's block in its own goroutine. Each
-// goroutine polls ctx between instances and recovers panics, so one dying
-// worker can never hang the WaitGroup; the first fault (lowest thread id)
-// becomes the run's error.
-func (m *Machine) runConcurrent(ctx context.Context, w workloads.PartitionedWorkload, rw workloads.ResumableWorkload, iters, n int) *RunError {
-	errs := make([]*RunError, len(m.Threads))
-	cursors := make([]int, len(m.Threads))
-	var wg sync.WaitGroup
-	for t, th := range m.Threads {
-		wg.Add(1)
-		go func(t int, th *MachineThread) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[t] = &RunError{Thread: t + 1,
-						Cursor: checkpoint.Cursor{Thread: t, Iter: cursors[t]},
-						Cause:  fmt.Errorf("panic: %v", r)}
-				}
-			}()
-			lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
-			wctx := &workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: m.Bin}
-			if rw == nil {
-				// Non-resumable workloads run their block in one call;
-				// cancellation is only observed before the block starts.
-				if err := ctx.Err(); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}
-					return
-				}
-				if err := w.RunPartition(wctx, iters, lo, hi); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}
-				}
-				return
-			}
-			for it := 0; it < iters; it++ {
-				cursors[t] = it
-				if err := ctx.Err(); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t, Iter: it}, Cause: err}
-					return
-				}
-				if err := rw.RunPartitionRange(wctx, it, it+1, lo, hi); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t, Iter: it}, Cause: err}
-					return
-				}
-			}
-		}(t, th)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// runSequential drives the deterministic thread-major schedule one instance
-// at a time: cancellation polls and the instance fault-injection point sit
-// between instances, and the optional checkpointer snapshots there too —
-// the only program points where the monitors' sampling state is quiescent.
-// The returned *RunError is a clean stop (resume-able); the plain error is
-// a hard failure.
-func (m *Machine) runSequential(ctx context.Context, w workloads.PartitionedWorkload, rw workloads.ResumableWorkload, iters, n int, ck *Checkpointer) (*RunError, error) {
-	if rw == nil {
-		for t, th := range m.Threads {
-			if err := ctx.Err(); err != nil {
-				return &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}, nil
-			}
-			lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
-			if err := w.RunPartition(&workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: m.Bin}, iters, lo, hi); err != nil {
-				return nil, fmt.Errorf("core: thread %d: %w", t+1, err)
-			}
-			// Whole-partition runs only reach quiescence between threads;
-			// progress advances a thread's worth of instances at a time.
-			ck.observeMachine(m, (t+1)*iters)
-		}
-		return nil, nil
-	}
+// runSequential drives RunWorkload's thread-major schedule. The returned
+// *RunError is a clean stop (resume-able); the plain error is a hard
+// failure.
+func (m *Machine) runSequential(ctx context.Context, w workloads.PartitionedWorkload, iters int, ck *Checkpointer) (*RunError, error) {
 	start := checkpoint.Cursor{}
 	if ck != nil && ck.Resume != nil {
 		if err := m.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
@@ -465,8 +403,8 @@ func (m *Machine) runSequential(ctx context.Context, w workloads.PartitionedWork
 		}
 		start = ck.Resume.Cursor
 	}
-	done := 0
-	ck.observeMachine(m, start.Thread*iters+start.Iter)
+	n, total := w.Elements(), len(m.Threads)*iters
+	ck.observe(m, start.Thread*iters+start.Iter)
 	for t := start.Thread; t < len(m.Threads); t++ {
 		th := m.Threads[t]
 		lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
@@ -484,31 +422,24 @@ func (m *Machine) runSequential(ctx context.Context, w workloads.PartitionedWork
 				return &RunError{Thread: t + 1, Cursor: cur, Cause: err}, nil
 			}
 			if ck.demanded() {
-				snap, err := m.Snapshot(cur, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
+				if err := ck.save(m, cur, nil); err != nil {
 					return nil, err
 				}
 				return &RunError{Thread: t + 1, Cursor: cur, Cause: ErrCheckpointDemanded}, nil
 			}
-			if err := rw.RunPartitionRange(wctx, it, it+1, lo, hi); err != nil {
+			if err := w.RunPartitionRange(wctx, it, it+1, lo, hi); err != nil {
 				return nil, fmt.Errorf("core: thread %d: %w", t+1, err)
 			}
-			done++
-			ck.observeMachine(m, t*iters+it+1)
-			next := checkpoint.Cursor{Thread: t, Iter: it + 1}
-			if next.Iter == iters {
-				next = checkpoint.Cursor{Thread: t + 1}
-			}
-			atEnd := next.Thread == len(m.Threads)
-			if ck != nil && ck.Every > 0 && done%ck.Every == 0 && !atEnd {
-				snap, err := m.Snapshot(next, ck.Tag)
-				if err != nil {
-					return nil, err
+			// Snapshots fall on absolute instance counts, so a resumed run
+			// snapshots where the uninterrupted one does.
+			done := t*iters + it + 1
+			ck.observe(m, done)
+			if ck != nil && ck.Every > 0 && done%ck.Every == 0 && done < total {
+				next := checkpoint.Cursor{Thread: t, Iter: it + 1}
+				if next.Iter == iters {
+					next = checkpoint.Cursor{Thread: t + 1}
 				}
-				if err := ck.emit(snap); err != nil {
+				if err := ck.save(m, next, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -681,9 +612,16 @@ func (r *MachineHPCGRun) Figure() *report.MachineFigure {
 		})
 	}
 	// Cache-wide counters sum over every socket's L3 (one L3 on the flat
-	// machine, so the historical single-socket numbers are unchanged).
-	for _, l3 := range r.Machine.L3s {
-		llc := l3.Stats()
+	// machine, so the historical single-socket numbers are unchanged); the
+	// single-core flat machine's L3 is its own last private level.
+	llcs := []memhier.LevelStats{r.Machine.Primary().Hier.LevelStats(llcLevel)}
+	if len(r.Machine.L3s) > 0 {
+		llcs = llcs[:0]
+		for _, l3 := range r.Machine.L3s {
+			llcs = append(llcs, l3.Stats())
+		}
+	}
+	for _, llc := range llcs {
 		fig.L3.Writebacks += llc.Writebacks
 		fig.L3.Prefetches += llc.Prefetches
 		fig.L3.PrefHits += llc.PrefHits

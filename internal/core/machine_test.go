@@ -7,14 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/hpcg"
+	"repro/internal/numa"
 	"repro/internal/workloads"
 )
 
-// TestMachineSingleThreadIdenticalToSession pins the tentpole equivalence:
-// a 1-thread Machine (private L1/L2, shared-L3 code path, team-dispatched
-// parallel CG) must be byte-identical to the existing single-Session run —
-// same trace records, cycles, PMU totals, cache statistics, PEBS stats,
-// folded samples and paper labels.
+// TestMachineSingleThreadIdenticalToSession pins the one HPCG step driver
+// to the concurrent team solve: RunHPCG (CGRun.Step one iteration at a
+// time on the Session's 1-core Machine) must be byte-identical to
+// RunHPCGParallel's team-dispatched solve on one worker — same trace
+// records, cycles, PMU totals, cache statistics, PEBS stats, page
+// placement, folded samples, paper labels and CG numerics — flat and
+// NUMA-routed, fast and reference paths.
 func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
 	for _, mode := range []struct {
 		name string
@@ -22,6 +25,9 @@ func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
 	}{
 		{"randomized-mux", func() Config { cfg, _ := comparableConfigs(); return cfg }},
 		{"deterministic", testConfig},
+		{"numa-ft", func() Config { return numaConfig(2, numa.FirstTouch) }},
+		{"numa-il", func() Config { return numaConfig(2, numa.Interleave) }},
+		{"numa-il-reference", func() Config { cfg := numaConfig(2, numa.Interleave); cfg.Reference = true; return cfg }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			params := hpcg.Params{NX: 8, NY: 8, NZ: 8, MGLevels: 2, MaxIters: 3}
@@ -33,42 +39,50 @@ func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mt := mach.Machine.Primary()
+			st, mt := sess.Session.Primary(), mach.Machine.Primary()
 
-			sRecs, mRecs := sess.Session.Mon.Records(), mt.Mon.Records()
+			sRecs, mRecs := st.Mon.Records(), mt.Mon.Records()
 			if len(sRecs) != len(mRecs) {
-				t.Fatalf("record count: session %d, machine %d", len(sRecs), len(mRecs))
+				t.Fatalf("record count: step %d, team %d", len(sRecs), len(mRecs))
 			}
 			for i := range sRecs {
 				if !reflect.DeepEqual(sRecs[i], mRecs[i]) {
-					t.Fatalf("record %d differs:\nsession: %+v\nmachine: %+v", i, sRecs[i], mRecs[i])
+					t.Fatalf("record %d differs:\nstep: %+v\nteam: %+v", i, sRecs[i], mRecs[i])
 				}
 			}
-			if a, b := sess.Session.Core.Cycles(), mt.Core.Cycles(); a != b {
-				t.Errorf("cycles: session %d, machine %d", a, b)
+			if a, b := st.Core.Cycles(), mt.Core.Cycles(); a != b {
+				t.Errorf("cycles: step %d, team %d", a, b)
 			}
-			if a, b := sess.Session.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
-				t.Errorf("PMU totals: session %v, machine %v", a, b)
+			if a, b := st.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
+				t.Errorf("PMU totals: step %v, team %v", a, b)
 			}
-			if a, b := sess.Session.Hier.Levels(), mt.Hier.Levels(); a != b {
-				t.Fatalf("levels: session %d, machine %d", a, b)
+			if a, b := st.Hier.Levels(), mt.Hier.Levels(); a != b {
+				t.Fatalf("levels: step %d, team %d", a, b)
 			}
 			for i := 0; i < mt.Hier.Levels(); i++ {
-				if a, b := sess.Session.Hier.LevelStats(i), mt.Hier.LevelStats(i); a != b {
-					t.Errorf("level %d stats: session %+v, machine %+v", i, a, b)
+				if a, b := st.Hier.LevelStats(i), mt.Hier.LevelStats(i); a != b {
+					t.Errorf("level %d stats: step %+v, team %+v", i, a, b)
 				}
 			}
-			if a, b := sess.Session.Hier.DRAMAccesses(), mt.Hier.DRAMAccesses(); a != b {
-				t.Errorf("DRAM accesses: session %d, machine %d", a, b)
+			if a, b := st.Hier.DRAMAccesses(), mt.Hier.DRAMAccesses(); a != b {
+				t.Errorf("DRAM accesses: step %d, team %d", a, b)
 			}
-			if a, b := sess.Session.Mon.Engine().Stats(), mt.Mon.Engine().Stats(); a != b {
-				t.Errorf("PEBS stats: session %+v, machine %+v", a, b)
+			if a, b := st.Hier.RemoteDRAMAccesses(), mt.Hier.RemoteDRAMAccesses(); a != b {
+				t.Errorf("remote DRAM accesses: step %d, team %d", a, b)
+			}
+			if a, b := st.Mon.Engine().Stats(), mt.Mon.Engine().Stats(); a != b {
+				t.Errorf("PEBS stats: step %+v, team %+v", a, b)
+			}
+			if p := sess.Session.Placement; p != nil {
+				if a, b := p.Stats(), mach.Machine.Placement.Stats(); !reflect.DeepEqual(a, b) {
+					t.Errorf("placement stats: step %+v, team %+v", a, b)
+				}
 			}
 
 			// Folded output and paper labels agree.
 			sf, mf := sess.Folded, mach.Threads[0].Folded
 			if len(sf.Mem) == 0 || len(sf.Mem) != len(mf.Mem) {
-				t.Fatalf("folded samples: session %d, machine %d", len(sf.Mem), len(mf.Mem))
+				t.Fatalf("folded samples: step %d, team %d", len(sf.Mem), len(mf.Mem))
 			}
 			for i := range sf.Mem {
 				if sf.Mem[i] != mf.Mem[i] {
@@ -177,7 +191,7 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 			t.Error("a thread never reached the shared L3")
 		}
 	}
-	if llcMisses := run.Machine.L3.Stats().Misses; llcMisses != dram {
+	if llcMisses := run.Machine.L3s[0].Stats().Misses; llcMisses != dram {
 		t.Errorf("shared L3 misses %d != summed per-thread DRAM fills %d", llcMisses, dram)
 	}
 	// The merged trace round-trips through the PRV writer with 4 threads.
@@ -194,47 +208,63 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 	}
 }
 
-// TestMachineStreamSingleThreadIdentical pins the workload path of the
-// Machine to RunWorkload: a 1-thread partitioned STREAM run produces the
-// identical trace and simulation state.
+// TestMachineStreamSingleThreadIdentical pins the driver's one-instance
+// windows: RunWorkload steps STREAM one RunPartitionRange call per
+// iteration, which must be byte-identical to running every iteration in a
+// single call on a fresh Session.
 func TestMachineStreamSingleThreadIdentical(t *testing.T) {
 	cfg, _ := comparableConfigs()
-	sess, err := RunWorkload(cfg, workloads.NewStream(1<<13), 12)
+	const iters = 12
+	stepped, err := RunWorkload(nil, cfg, workloads.NewStream(1<<13), iters, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := RunWorkloadParallel(nil, cfg, workloads.NewStream(1<<13), 12, 1)
+	s, err := NewSession(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := mach.Machine.Primary()
-	sRecs, mRecs := sess.Session.Mon.Records(), mt.Mon.Records()
+	w := workloads.NewStream(1 << 13)
+	wctx := &workloads.Ctx{Core: s.Core, Mon: s.Mon, Bin: s.Bin}
+	if err := w.Setup(wctx); err != nil {
+		t.Fatal(err)
+	}
+	s.Mon.Start()
+	if err := w.RunPartitionRange(wctx, 0, iters, 0, w.Elements()); err != nil {
+		t.Fatal(err)
+	}
+	s.Mon.Stop()
+	mt := stepped.Machine.Primary()
+	sRecs, mRecs := s.Mon.Records(), mt.Mon.Records()
 	if len(sRecs) != len(mRecs) {
-		t.Fatalf("record count: session %d, machine %d", len(sRecs), len(mRecs))
+		t.Fatalf("record count: one call %d, stepped %d", len(sRecs), len(mRecs))
 	}
 	for i := range sRecs {
 		if !reflect.DeepEqual(sRecs[i], mRecs[i]) {
-			t.Fatalf("record %d differs:\nsession: %+v\nmachine: %+v", i, sRecs[i], mRecs[i])
+			t.Fatalf("record %d differs:\none call: %+v\nstepped:  %+v", i, sRecs[i], mRecs[i])
 		}
 	}
-	if a, b := sess.Session.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
-		t.Errorf("PMU totals: session %v, machine %v", a, b)
+	if a, b := s.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
+		t.Errorf("PMU totals: one call %v, stepped %v", a, b)
 	}
-	if a, b := len(sess.Folded.Mem), len(mach.Threads[0].Folded.Mem); a != b {
-		t.Errorf("folded samples: session %d, machine %d", a, b)
+	folded, err := s.Fold(w.Region())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := len(folded.Mem), len(stepped.Threads[0].Folded.Mem); a != b {
+		t.Errorf("folded samples: one call %d, stepped %d", a, b)
 	}
 }
 
-// TestMachineStreamFourThreads free-runs the triad across 4 cores: every
-// thread folds instances over its own disjoint block of the arrays (the
+// TestMachineStreamFourThreads runs the triad across 4 cores: every thread
+// folds instances over its own disjoint block of the arrays (the
 // per-thread blocks ascend in address), and the triad arithmetic is
-// correct despite the concurrency.
+// correct.
 func TestMachineStreamFourThreads(t *testing.T) {
 	const threads = 4
 	cfg := testConfig()
 	cfg.Monitor.PEBS.Period = 60
 	w := workloads.NewStream(1 << 14)
-	res, err := RunWorkloadParallel(nil, cfg, w, 20, threads)
+	res, err := RunWorkload(nil, cfg, w, 20, threads, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

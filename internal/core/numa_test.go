@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/hpcg"
 	"repro/internal/memhier"
 	"repro/internal/numa"
 	"repro/internal/workloads"
@@ -37,11 +38,11 @@ func TestNUMASingleSocketIdenticalToMachine(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, policy := range []numa.Policy{numa.FirstTouch, numa.Interleave} {
 				t.Run(policy.String(), func(t *testing.T) {
-					flat, err := RunWorkloadSequential(nil, testConfig(), mk(), iters, threads)
+					flat, err := RunWorkload(nil, testConfig(), mk(), iters, threads, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					routed, err := RunWorkloadSequential(nil, numaConfig(1, policy), mk(), iters, threads)
+					routed, err := RunWorkload(nil, numaConfig(1, policy), mk(), iters, threads, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -95,7 +96,7 @@ func TestNUMASingleSocketIdenticalToMachine(t *testing.T) {
 func TestNUMATwoSocketInterleaveRemoteFills(t *testing.T) {
 	const iters, threads = 4, 4
 	run := func(policy numa.Policy) (*MachineWorkloadResult, uint64, uint64) {
-		res, err := RunWorkloadSequential(nil, numaConfig(2, policy), partitionedWorkloads()["stream"](), iters, threads)
+		res, err := RunWorkload(nil, numaConfig(2, policy), partitionedWorkloads()["stream"](), iters, threads, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,27 +150,30 @@ func TestNUMATwoSocketInterleaveRemoteFills(t *testing.T) {
 	}
 }
 
-// TestNUMAConcurrentPlacement free-runs 4 goroutine-scheduled threads
-// against the 2-socket placement (concurrent first-touch assignment,
-// concurrent per-node accounting, LLC writeback routing under the shard
-// locks): the -race coverage for the NUMA layer. Totals must still
-// conserve regardless of the schedule.
+// TestNUMAConcurrentPlacement runs the 4-thread HPCG team solve — one
+// goroutine per core — against the 2-socket placement (concurrent
+// first-touch assignment, concurrent per-node accounting, LLC writeback
+// routing under the shard locks): the -race coverage for the NUMA layer.
+// Totals must still conserve regardless of the schedule.
 func TestNUMAConcurrentPlacement(t *testing.T) {
 	for _, policy := range []numa.Policy{numa.FirstTouch, numa.Interleave} {
 		t.Run(policy.String(), func(t *testing.T) {
-			res, err := RunWorkloadParallel(nil, numaConfig(2, policy), partitionedWorkloads()["random_access"](), 4, 4)
+			run, err := RunHPCGParallel(nil, numaConfig(2, policy), hpcg.Params{NX: 8, NY: 8, NZ: 8, MGLevels: 2, MaxIters: 2}, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var total, remote uint64
-			for _, th := range res.Machine.Threads {
+			for _, th := range run.Machine.Threads {
 				total += th.Hier.DRAMAccesses()
 				remote += th.Hier.RemoteDRAMAccesses()
 			}
 			var served, servedRemote uint64
-			for _, st := range res.Machine.Placement.Stats() {
+			for _, st := range run.Machine.Placement.Stats() {
 				served += st.FillsLocal + st.FillsRemote
 				servedRemote += st.FillsRemote
+			}
+			if total == 0 {
+				t.Fatalf("%s: no DRAM fills", policy)
 			}
 			if served != total || servedRemote != remote {
 				t.Errorf("%s: nodes served %d/%d, sockets issued %d/%d",
@@ -198,7 +202,7 @@ func TestNUMABindOverridesPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.StartAll()
-	if err := w.RunPartition(ctxFor(primary, m), 2, 0, w.Elements()); err != nil {
+	if err := w.RunPartitionRange(ctxFor(primary, m), 0, 2, 0, w.Elements()); err != nil {
 		t.Fatal(err)
 	}
 	m.StopAll()

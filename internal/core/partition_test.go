@@ -4,15 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/numa"
 	"repro/internal/workloads"
 )
 
-// Partition-equivalence suite for the promoted workloads: a 1-thread
-// Machine run (RunPartition over the full element range, shared-L3 code
-// path) must be byte-identical to the plain Session run, and the N-thread
-// runs must stay -race clean while folding every thread. This extends
-// TestMachineSingleThreadIdenticalToSession/TestMachineStreamSingleThreadIdentical
-// to every PartitionedWorkload.
+// Partition-equivalence suite for the partitioned workloads: the
+// single-core flat Machine (private L3, the Session's machine) must be
+// byte-identical to a single core on the shared-LLC code path, and the
+// N-thread runs must fold every thread.
 
 // partitionedWorkloads builds a fresh instance of every synthetic
 // partitioned workload at regression scale.
@@ -26,52 +25,60 @@ func partitionedWorkloads() map[string]func() workloads.PartitionedWorkload {
 	}
 }
 
-func assertSessionMachineIdentical(t *testing.T, sess *RunWorkloadResult, mach *MachineWorkloadResult) {
+// assertSingleCoreIdentical compares the primary threads of two 1-thread
+// runs: trace records, cycles, PMU totals, cache and PEBS statistics and
+// the folded output.
+func assertSingleCoreIdentical(t *testing.T, private, shared *MachineWorkloadResult) {
 	t.Helper()
-	mt := mach.Machine.Primary()
-	sRecs, mRecs := sess.Session.Mon.Records(), mt.Mon.Records()
-	if len(sRecs) != len(mRecs) {
-		t.Fatalf("record count: session %d, machine %d", len(sRecs), len(mRecs))
+	pt, st := private.Machine.Primary(), shared.Machine.Primary()
+	pRecs, sRecs := pt.Mon.Records(), st.Mon.Records()
+	if len(pRecs) != len(sRecs) {
+		t.Fatalf("record count: private %d, shared %d", len(pRecs), len(sRecs))
 	}
-	for i := range sRecs {
-		if !reflect.DeepEqual(sRecs[i], mRecs[i]) {
-			t.Fatalf("record %d differs:\nsession: %+v\nmachine: %+v", i, sRecs[i], mRecs[i])
+	for i := range pRecs {
+		if !reflect.DeepEqual(pRecs[i], sRecs[i]) {
+			t.Fatalf("record %d differs:\nprivate: %+v\nshared:  %+v", i, pRecs[i], sRecs[i])
 		}
 	}
-	if a, b := sess.Session.Core.Cycles(), mt.Core.Cycles(); a != b {
-		t.Errorf("cycles: session %d, machine %d", a, b)
+	if a, b := pt.Core.Cycles(), st.Core.Cycles(); a != b {
+		t.Errorf("cycles: private %d, shared %d", a, b)
 	}
-	if a, b := sess.Session.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
-		t.Errorf("PMU totals: session %v, machine %v", a, b)
+	if a, b := pt.Core.PMU().TrueSnapshot(), st.Core.PMU().TrueSnapshot(); a != b {
+		t.Errorf("PMU totals: private %v, shared %v", a, b)
 	}
-	for i := 0; i < mt.Hier.Levels(); i++ {
-		if a, b := sess.Session.Hier.LevelStats(i), mt.Hier.LevelStats(i); a != b {
-			t.Errorf("level %d stats: session %+v, machine %+v", i, a, b)
+	if a, b := pt.Hier.Levels(), st.Hier.Levels(); a != b {
+		t.Fatalf("levels: private %d, shared %d", a, b)
+	}
+	for i := 0; i < pt.Hier.Levels(); i++ {
+		if a, b := pt.Hier.LevelStats(i), st.Hier.LevelStats(i); a != b {
+			t.Errorf("level %d stats: private %+v, shared %+v", i, a, b)
 		}
 	}
-	if a, b := sess.Session.Hier.DRAMAccesses(), mt.Hier.DRAMAccesses(); a != b {
-		t.Errorf("DRAM accesses: session %d, machine %d", a, b)
+	if a, b := pt.Hier.DRAMAccesses(), st.Hier.DRAMAccesses(); a != b {
+		t.Errorf("DRAM accesses: private %d, shared %d", a, b)
 	}
-	if a, b := sess.Session.Mon.Engine().Stats(), mt.Mon.Engine().Stats(); a != b {
-		t.Errorf("PEBS stats: session %+v, machine %+v", a, b)
+	if a, b := pt.Mon.Engine().Stats(), st.Mon.Engine().Stats(); a != b {
+		t.Errorf("PEBS stats: private %+v, shared %+v", a, b)
 	}
-	sf, mf := sess.Folded, mach.Threads[0].Folded
-	if len(sf.Mem) == 0 || len(sf.Mem) != len(mf.Mem) {
-		t.Fatalf("folded samples: session %d, machine %d", len(sf.Mem), len(mf.Mem))
+	pf, sf := private.Threads[0].Folded, shared.Threads[0].Folded
+	if len(pf.Mem) == 0 || len(pf.Mem) != len(sf.Mem) {
+		t.Fatalf("folded samples: private %d, shared %d", len(pf.Mem), len(sf.Mem))
 	}
-	for i := range sf.Mem {
-		if sf.Mem[i] != mf.Mem[i] {
-			t.Fatalf("folded sample %d differs: %+v vs %+v", i, sf.Mem[i], mf.Mem[i])
+	for i := range pf.Mem {
+		if pf.Mem[i] != sf.Mem[i] {
+			t.Fatalf("folded sample %d differs: %+v vs %+v", i, pf.Mem[i], sf.Mem[i])
 		}
 	}
-	if !reflect.DeepEqual(sf.Phases, mf.Phases) {
-		t.Errorf("phases differ: %+v vs %+v", sf.Phases, mf.Phases)
+	if !reflect.DeepEqual(pf.Phases, sf.Phases) {
+		t.Errorf("phases differ: %+v vs %+v", pf.Phases, sf.Phases)
 	}
 }
 
-// TestPartitionSingleThreadIdenticalToSession pins Run == RunPartition(0,
-// Elements()) through the full stack for every partitioned workload, on
-// both the randomized-mux and deterministic configurations.
+// TestPartitionSingleThreadIdenticalToSession pins the Session's private
+// L3 to the shared-LLC code path for every partitioned workload, on both
+// the randomized-mux and deterministic configurations: one core of a
+// 1-socket NUMA machine (shared L3, every fill routed through the page
+// placement) must run byte-identically to the single-core flat machine.
 func TestPartitionSingleThreadIdenticalToSession(t *testing.T) {
 	const iters = 6
 	for name, mk := range partitionedWorkloads() {
@@ -84,52 +91,36 @@ func TestPartitionSingleThreadIdenticalToSession(t *testing.T) {
 				{"deterministic", testConfig},
 			} {
 				t.Run(mode.name, func(t *testing.T) {
-					sess, err := RunWorkload(mode.cfg(), mk(), iters)
+					private, err := RunWorkload(nil, mode.cfg(), mk(), iters, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mach, err := RunWorkloadParallel(nil, mode.cfg(), mk(), iters, 1)
+					cfg := mode.cfg()
+					cfg.NUMA = numa.Config{Sockets: 1}
+					shared, err := RunWorkload(nil, cfg, mk(), iters, 1, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					assertSessionMachineIdentical(t, sess, mach)
+					if len(private.Machine.L3s) != 0 || len(shared.Machine.L3s) != 1 {
+						t.Fatalf("L3s: private %d, shared %d; want 0 and 1",
+							len(private.Machine.L3s), len(shared.Machine.L3s))
+					}
+					assertSingleCoreIdentical(t, private, shared)
 				})
 			}
 		})
 	}
 }
 
-// TestPartitionSequentialMatchesParallelSingleThread pins the deterministic
-// sequential schedule to the goroutine schedule where they must coincide
-// exactly: one thread.
-func TestPartitionSequentialMatchesParallelSingleThread(t *testing.T) {
-	cfg := testConfig()
-	mk := func() workloads.PartitionedWorkload { return workloads.NewSpMV(8, 8, 8) }
-	par, err := RunWorkloadParallel(nil, cfg, mk(), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunWorkloadSequential(nil, cfg, mk(), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := par.Machine.Primary().Mon.Records(), seq.Machine.Primary().Mon.Records()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sequential and parallel 1-thread runs differ: %d vs %d records", len(a), len(b))
-	}
-}
-
-// TestPartitionFourThreads free-runs every partitioned workload across 4
-// concurrent cores: this is the -race coverage for the promoted
-// RunPartition implementations (disjoint writes, shared read-only state,
-// sharded L3). Every thread must fold instances of its own block.
+// TestPartitionFourThreads runs every partitioned workload across 4 cores
+// sharing one L3: every thread must fold instances of its own block.
 func TestPartitionFourThreads(t *testing.T) {
 	const threads = 4
 	cfg := testConfig()
 	cfg.Monitor.PEBS.Period = 60
 	for name, mk := range partitionedWorkloads() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunWorkloadParallel(nil, cfg, mk(), 4, threads)
+			res, err := RunWorkload(nil, cfg, mk(), 4, threads, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,12 +137,12 @@ func TestPartitionFourThreads(t *testing.T) {
 }
 
 // TestPartitionResultsCorrect checks the numerical results survive
-// concurrent partitioning: the triad and SpMV outputs match their closed
-// forms after a 4-thread run.
+// partitioning: the triad and SpMV outputs match their closed forms after
+// a 4-thread run.
 func TestPartitionResultsCorrect(t *testing.T) {
 	cfg := testConfig()
 	st := workloads.NewStream(1 << 13)
-	if _, err := RunWorkloadParallel(nil, cfg, st, 3, 4); err != nil {
+	if _, err := RunWorkload(nil, cfg, st, 3, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < st.N; i += 97 {
@@ -160,7 +151,7 @@ func TestPartitionResultsCorrect(t *testing.T) {
 		}
 	}
 	sp := workloads.NewSpMV(12, 12, 12)
-	if _, err := RunWorkloadParallel(nil, cfg, sp, 2, 4); err != nil {
+	if _, err := RunWorkload(nil, cfg, sp, 2, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < sp.Rows(); i += 53 {

@@ -7,18 +7,13 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/extrae"
 	"repro/internal/folding"
 	"repro/internal/memhier"
 	"repro/internal/numa"
-	"repro/internal/prog"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // defaultHeapBase mirrors the 0x2adf… heap addresses visible in the
@@ -45,11 +40,10 @@ type Config struct {
 	// fills whose home node is another socket are charged the remote
 	// latency and labelled SrcDRAMRemote. A 1-socket routed Machine is
 	// byte-identical to the flat Machine (pinned by the partition suite).
-	// Sessions ignore this field: NUMA runs go through a Machine.
 	NUMA numa.Config
 	// HeapBase is the simulated heap base address.
 	HeapBase uint64
-	// ASLRSeed, when nonzero, randomizes the heap base per session —
+	// ASLRSeed, when nonzero, randomizes the heap base per machine —
 	// simulating address-space layout randomization across runs, the
 	// reason the paper multiplexes loads and stores in a single run
 	// instead of running twice.
@@ -73,24 +67,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Session is an assembled simulated machine with monitoring attached.
+// Session is the single-core view of a Machine: a 1-thread Machine seen
+// through thread 1, under the names the single-thread pipeline (RunHPCG,
+// the figure benches) uses. It is the paper's setting — one Extrae/PEBS
+// monitoring stack attached to one hardware thread — and adds no state of
+// its own: snapshots, progress, folding and trace writing are the
+// Machine's.
 type Session struct {
-	Cfg  Config
+	*Machine
 	Hier *memhier.Hierarchy
 	Core *cpu.Core
-	Bin  *prog.Binary
-	AS   *prog.AddressSpace
 	Mon  *extrae.Monitor
-
-	// sortedLog memoizes sortedRecords (the monitor log is append-only, so
-	// an unchanged length means an unchanged log).
-	sortedLog []trace.Record
-	sortedLen int
 }
 
 // applyReference expands the Reference shorthand into the concrete
-// per-operation knobs of the sub-configurations (shared by Session and
-// Machine so the two assemble identical reference stacks).
+// per-operation knobs of the sub-configurations.
 func applyReference(cfg Config) Config {
 	if cfg.Reference {
 		cfg.CPU.PerOpStreams = true
@@ -99,24 +90,19 @@ func applyReference(cfg Config) Config {
 	return cfg
 }
 
-// NewSession builds the stack.
+// NewSession builds a 1-core Machine and returns its view.
 func NewSession(cfg Config) (*Session, error) {
-	cfg = applyReference(cfg)
-	hier, err := memhier.New(cfg.Cache)
+	m, err := NewMachine(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cfg.CPU, hier)
-	if err != nil {
-		return nil, err
-	}
-	bin := prog.NewBinary()
-	as := prog.NewAddressSpace(heapBase(cfg))
-	mon, err := extrae.New(cfg.Monitor, c, bin, as)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Cfg: cfg, Hier: hier, Core: c, Bin: bin, AS: as, Mon: mon}, nil
+	th := m.Primary()
+	return &Session{Machine: m, Hier: th.Hier, Core: th.Core, Mon: th.Mon}, nil
+}
+
+// Fold extracts and folds the named region from the core's trace.
+func (s *Session) Fold(region extrae.Region) (*folding.Folded, error) {
+	return s.Machine.Fold(region, 1)
 }
 
 // heapBase resolves the configured heap base, randomizing it by up to
@@ -132,142 +118,4 @@ func heapBase(cfg Config) uint64 {
 		base += uint64(rng.Int63n(1<<40)) &^ 0xfff
 	}
 	return base
-}
-
-// Ctx returns the workload-facing view of the session.
-func (s *Session) Ctx() *workloads.Ctx {
-	return &workloads.Ctx{Core: s.Core, Mon: s.Mon, Bin: s.Bin}
-}
-
-// FuncOf resolves an instruction pointer to its function name ("" when
-// unknown); used to label folded phases.
-func (s *Session) FuncOf(ip uint64) string {
-	if loc, ok := s.Bin.Lookup(ip); ok {
-		return loc.Function
-	}
-	return ""
-}
-
-// sortedRecords returns the monitor's trace log stably sorted by time.
-// The log is append-ordered: buffered PEBS samples drain after later
-// region/snapshot records, so sample records can carry earlier timestamps
-// than records already logged — and both folding.Extract and the PRV
-// writer require a chronological stream. Same-time records keep their
-// logged order. The sorted copy is memoized and its backing buffer reused
-// when the log has grown, so steady-state re-folding does not reallocate;
-// a snapshot returned before the log grew is invalidated by the next call.
-func (s *Session) sortedRecords() []trace.Record {
-	log := s.Mon.Records()
-	if s.sortedLog != nil && s.sortedLen == len(log) {
-		return s.sortedLog
-	}
-	recs := append(s.sortedLog[:0], log...)
-	slices.SortStableFunc(recs, func(a, b trace.Record) int {
-		switch {
-		case a.TimeNs < b.TimeNs:
-			return -1
-		case a.TimeNs > b.TimeNs:
-			return 1
-		}
-		return 0
-	})
-	s.sortedLog, s.sortedLen = recs, len(log)
-	return recs
-}
-
-// foldInstances is the shared folding tail of Session.Fold and
-// Machine.Fold: bind the config defaults — FuncOf resolves through the
-// binary, PhaseIP attributes samples taken under an instrumented call
-// frame to the outermost frame of the emitting monitor's stack table
-// (e.g. the multigrid coarse-level smoother runs the same code as the
-// fine smoother, but belongs to ComputeMG_ref) — then fold and label.
-func foldInstances(instances []folding.Instance, cfg folding.Config, region extrae.Region,
-	funcOf func(ip uint64) string, mon *extrae.Monitor) (*folding.Folded, error) {
-	if cfg.FuncOf == nil {
-		cfg.FuncOf = funcOf
-	}
-	if cfg.PhaseIP == nil {
-		cfg.PhaseIP = func(smp folding.Sample) uint64 {
-			if frames := mon.Stacks().Frames(smp.StackID); len(frames) > 0 {
-				return frames[len(frames)-1]
-			}
-			return smp.IP
-		}
-	}
-	folded, err := folding.Fold(instances, cfg)
-	if err != nil {
-		return nil, err
-	}
-	folded.Region = int64(region)
-	folded.LabelPhases(funcOf)
-	return folded, nil
-}
-
-// Fold extracts and folds the named region from the monitor's trace.
-func (s *Session) Fold(region extrae.Region) (*folding.Folded, error) {
-	instances, err := folding.Extract(s.sortedRecords(), int64(region))
-	if err != nil {
-		return nil, err
-	}
-	if len(instances) == 0 {
-		return nil, fmt.Errorf("core: no instances of region %q in trace", s.Mon.RegionName(region))
-	}
-	return foldInstances(instances, s.Cfg.Folding, region, s.FuncOf, s.Mon)
-}
-
-// RunWorkloadResult bundles a monitored workload run with its folding.
-type RunWorkloadResult struct {
-	Session *Session
-	Folded  *folding.Folded
-	// Partial marks a run stopped before completion; Folded may be nil if
-	// no instance finished.
-	Partial bool
-}
-
-// RunWorkload sets up, monitors and folds a synthetic workload: the
-// quickstart pipeline.
-func RunWorkload(cfg Config, w workloads.Workload, iters int) (*RunWorkloadResult, error) {
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx := s.Ctx()
-	if err := w.Setup(ctx); err != nil {
-		return nil, err
-	}
-	s.Mon.Start()
-	if err := w.Run(ctx, iters); err != nil {
-		return nil, err
-	}
-	s.Mon.Stop()
-	folded, err := s.Fold(w.Region())
-	if err != nil {
-		return nil, err
-	}
-	return &RunWorkloadResult{Session: s, Folded: folded}, nil
-}
-
-// WriteTrace serializes the session's trace and labels to the writers
-// (PRV-style text and PCF).
-func (s *Session) WriteTrace(prv, pcf interface {
-	Write(p []byte) (int, error)
-}) error {
-	recs := s.sortedRecords()
-	var dur uint64
-	if len(recs) > 0 {
-		dur = recs[len(recs)-1].TimeNs
-	}
-	w, err := trace.NewWriter(prv, 1, 1, dur)
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return err
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return s.Mon.Labels().WritePCF(pcf)
 }

@@ -226,10 +226,10 @@ func (f *Figure1) RenderPhaseTable(w io.Writer) error {
 	return nil
 }
 
-// RenderObjectTable writes the referenced-object accounting. Figure1 is
-// only assembled from flat Session runs (NUMA machines render
-// MachineFigure instead), so the mix keeps the historical 4-source
-// encoding — the remote bucket is structurally zero here.
+// RenderObjectTable writes the referenced-object accounting. The mix keeps
+// the historical 4-source encoding: hpcgrepro assembles Figure1 only from
+// flat single-core runs (NUMA machines render MachineFigure instead), where
+// the remote bucket is structurally zero.
 func (f *Figure1) RenderObjectTable(w io.Writer) error {
 	fmt.Fprintf(w, "\n== Data objects by sampled references ==\n")
 	fmt.Fprintf(w, "%-42s %-8s %10s %10s %10s %9s  %s\n",

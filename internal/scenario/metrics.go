@@ -39,8 +39,8 @@ type Metrics struct {
 
 	PerThread []ThreadMetrics `json:"per_thread"`
 	// SharedL3 aggregates the machine-wide shared LLC counters of a flat
-	// multi-thread run. Single-thread Session runs report the LLC as the
-	// last private level instead, and NUMA-routed runs (any socket count)
+	// multi-thread run. Single-thread flat runs report the LLC as the last
+	// private level instead, and NUMA-routed runs (any socket count)
 	// report one L3 per socket in the NUMA section — never both.
 	SharedL3 *LevelMetrics `json:"shared_l3,omitempty"`
 	// NUMA is the per-socket / per-node breakdown of a routed scenario.
@@ -331,11 +331,6 @@ func objectMetrics(objs []*objects.Object, placement *numa.Placement) []ObjectMe
 	return out
 }
 
-// sessionMetrics collects the single-thread (Session) view.
-func sessionMetrics(s *core.Session, folded *folding.Folded, levelNames []string) ThreadMetrics {
-	return threadMetrics(1, s.Core, s.Hier, s.Mon.Engine().Stats(), len(s.Mon.Records()), folded, levelNames)
-}
-
 // machineMetrics collects per-thread metrics, the shared-L3 aggregate
 // (single-socket machines) and the NUMA breakdown (routed machines).
 func machineMetrics(m *core.Machine, foldedOf func(thread int) *folding.Folded, levelNames []string) ([]ThreadMetrics, *LevelMetrics, *NUMAMetrics) {
@@ -345,11 +340,13 @@ func machineMetrics(m *core.Machine, foldedOf func(thread int) *folding.Folded, 
 			len(th.Mon.Records()), foldedOf(i+1), levelNames))
 	}
 	var shared *LevelMetrics
-	if m.Sockets == 1 && m.Placement == nil {
-		// Flat machine: the single L3 goes in shared_l3. Routed machines
-		// (any socket count) report their L3s in the NUMA section instead
-		// — never both, so the two fields cannot drift apart.
-		llc := levelMetrics(m.L3.Config().Name+" (shared)", m.L3.Stats())
+	if len(m.L3s) == 1 && m.Placement == nil {
+		// Flat multi-core machine: the single L3 goes in shared_l3. The
+		// single-core flat machine's L3 is private (its last per-thread
+		// level), and routed machines (any socket count) report their L3s
+		// in the NUMA section instead — never two views of one cache, so
+		// the fields cannot drift apart.
+		llc := levelMetrics(m.L3s[0].Config().Name+" (shared)", m.L3s[0].Stats())
 		shared = &llc
 	}
 	return out, shared, numaMetrics(m)

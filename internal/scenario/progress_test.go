@@ -70,20 +70,23 @@ func TestProgressObservationIsInert(t *testing.T) {
 	}
 }
 
-// TestProgressOnNUMAParallelHPCG pins the documented degradation: the
-// barrier-coupled parallel solve has no instance boundaries, so a
-// progress-only run is accepted (unlike checkpointing, which errors) and
-// simply leaves the mailbox at its published total.
+// TestProgressOnNUMAParallelHPCG pins progress on the NUMA HPCG path: the
+// step driver publishes at every CG iteration boundary, so a finished run
+// reports every iteration done, not just the total.
 func TestProgressOnNUMAParallelHPCG(t *testing.T) {
 	sc, ok := Get("hpcg_numa_ft_2s1t")
 	if !ok {
-		t.Skip("NUMA HPCG scenario not registered")
+		t.Fatal("NUMA HPCG scenario not registered")
 	}
 	var p telemetry.Progress
 	if _, err := Run(sc, Options{Progress: &p}); err != nil {
-		t.Fatalf("progress-only run rejected on NUMA HPCG path: %v", err)
+		t.Fatalf("progress run on the NUMA HPCG path: %v", err)
 	}
-	if p.Snapshot().InstancesTotal == 0 {
-		t.Error("no total published")
+	s := p.Snapshot()
+	if want := uint64(sc.HPCG.MaxIters); s.InstancesTotal != want || s.InstancesDone != want {
+		t.Errorf("progress %d/%d, want %d/%d", s.InstancesDone, s.InstancesTotal, want, want)
+	}
+	if s.Cycles == 0 || s.NumLevels == 0 {
+		t.Errorf("no CPU or cache progress published: %+v", s)
 	}
 }

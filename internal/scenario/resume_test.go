@@ -19,9 +19,10 @@ import (
 // fault-injection harness, resume it from the last snapshot (round-tripped
 // through the binary codec, as simrun -checkpoint/-resume would), and
 // require the resumed run's Metrics JSON to equal the checked-in golden
-// file byte for byte. The subset covers every checkpointable path: the
-// single-thread Session, the sequential Machine, the NUMA-routed Machine
-// (page placement state) and the HPCG solver (CG vector state).
+// file byte for byte. The subset covers every run path: the single-core
+// machine, the multi-core sequential schedule, the NUMA-routed Machine
+// (page placement state) and the HPCG step driver (CG vector state), flat
+// and NUMA-routed.
 func TestKillAndResumeMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are amd64-generated; FMA fusion on %s perturbs float64 reductions", runtime.GOARCH)
@@ -39,6 +40,7 @@ func TestKillAndResumeMatchesGolden(t *testing.T) {
 		// hpcg_8_1t runs 3 CG iterations: snapshot after the second, kill
 		// entering the third.
 		{name: "hpcg_8_1t", every: 2, killAt: 3},
+		{name: "hpcg_numa_il_2s1t", every: 2, killAt: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,41 +161,48 @@ func TestResumeThenTimeoutEmitsPartial(t *testing.T) {
 }
 
 // TestResumeUnderDifferentMachineRejected pins the checkpoint tag: a
-// snapshot taken on the scenario's own machine must not resume under a
-// -machine override (the simulated hardware differs, so the state is
-// meaningless there).
+// snapshot must not resume under a different simulated machine — a
+// -machine spec override, a sampling override or another NUMA placement.
+// Each alters every access, sample or page home from the snapshot on, so a
+// silent resume would produce metrics matching neither configuration's
+// uninterrupted run.
 func TestResumeUnderDifferentMachineRejected(t *testing.T) {
-	sc, ok := Get("stream_triad_1t")
-	if !ok {
-		t.Fatal("scenario missing")
-	}
-	var last *checkpoint.Snapshot
-	opts := Options{
-		CheckpointEvery: 3,
-		CheckpointSink:  func(s *checkpoint.Snapshot) error { last = s; return nil },
-	}
-	if _, err := Run(sc, opts); err != nil {
-		t.Fatal(err)
-	}
 	spec, err := machspec.Named("small")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(sc, Options{Resume: last, Machine: spec}); err == nil {
-		t.Fatal("snapshot resumed under a different machine spec")
-	}
-}
-
-// TestNUMAHPCGCheckpointRejected pins the documented limitation: the
-// barrier-coupled parallel HPCG path has no instance-boundary snapshot
-// point and must refuse, not silently ignore, a checkpoint request.
-func TestNUMAHPCGCheckpointRejected(t *testing.T) {
-	sc, ok := Get("hpcg_numa_ft_2s1t")
-	if !ok {
-		t.Fatal("scenario missing")
-	}
-	_, err := Run(sc, Options{CheckpointEvery: 2, CheckpointSink: func(*checkpoint.Snapshot) error { return nil }})
-	if err == nil {
-		t.Fatal("NUMA HPCG accepted a checkpoint request")
+	period := uint64(97)
+	for _, tc := range []struct {
+		name     string
+		scenario string
+		every    int
+		resume   Options
+	}{
+		{"machine-spec", "stream_triad_1t", 3, Options{Machine: spec}},
+		{"sampling-period", "stream_triad_1t", 3, Options{Sampling: &machspec.Sampling{Period: &period}}},
+		{"placement", "stream_numa_ft_2s4t", 5, Options{Placement: "interleave"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, ok := Get(tc.scenario)
+			if !ok {
+				t.Fatalf("scenario %q missing", tc.scenario)
+			}
+			var last *checkpoint.Snapshot
+			opts := Options{
+				CheckpointEvery: tc.every,
+				CheckpointSink:  func(s *checkpoint.Snapshot) error { last = s; return nil },
+			}
+			if _, err := Run(sc, opts); err != nil {
+				t.Fatal(err)
+			}
+			if last == nil {
+				t.Fatal("no snapshot emitted")
+			}
+			resume := tc.resume
+			resume.Resume = last
+			if _, err := Run(sc, resume); err == nil {
+				t.Errorf("%s snapshot resumed under a %s override", tc.scenario, tc.name)
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@
 //
 // Determinism is by construction: sampling randomization is seeded, the
 // simulated clocks are integer cycle counters, and multi-thread scenarios
-// run under core.RunWorkloadSequential's fixed schedule (thread t completes
-// before thread t+1 starts), which fixes the shared-L3 fill order that a
+// run under core.RunWorkload's fixed schedule (thread t completes before
+// thread t+1 starts), which fixes the shared-L3 fill order that a
 // goroutine schedule would leave to the Go runtime. cmd/simrun is the CLI
 // front end; hpcgrepro remains the concurrent-schedule reproduction tool.
 package scenario
@@ -56,9 +56,7 @@ type Scenario struct {
 	// LatencyThreshold drops load samples below the threshold.
 	LatencyThreshold uint64
 	// Sockets > 0 routes the run through a NUMA Machine with that many
-	// sockets (0 keeps the historical flat-DRAM stack). NUMA scenarios
-	// always run on a Machine — even single-thread HPCG, which uses the
-	// 1-worker parallel solve (deterministic: one goroutine).
+	// sockets (0 keeps the historical flat-DRAM stack).
 	Sockets int
 	// Placement names the page placement policy for NUMA scenarios
 	// ("first-touch", "interleave"; "" = first-touch).
@@ -88,28 +86,23 @@ type Options struct {
 	// *core.RunError.
 	Context context.Context
 	// CheckpointEvery snapshots the full simulation state every N completed
-	// instances (0: never). Requires a deterministic schedule: sequential
-	// workload scenarios and flat single-thread HPCG.
+	// instances (0: never).
 	CheckpointEvery int
 	// CheckpointSink receives each snapshot.
 	CheckpointSink func(*checkpoint.Snapshot) error
 	// CheckpointDemand, when non-nil, is polled at every instance boundary;
 	// returning true snapshots there, feeds the snapshot to CheckpointSink,
 	// and stops the run with core.ErrCheckpointDemanded — the drain
-	// primitive of the simulation server. Requires the same deterministic
-	// schedules as CheckpointEvery (see CheckpointSupported).
+	// primitive of the simulation server.
 	CheckpointDemand func() bool
 	// Resume restores a snapshot (validated against the scenario's
 	// fingerprint) and continues from its cursor; the completed run is
 	// byte-identical to an uninterrupted one.
 	Resume *checkpoint.Snapshot
 	// Progress, when non-nil, receives live instance/cycle/cache counters
-	// at the run's existing instance boundaries (atomic stores only — see
-	// core.Session.ObserveProgress). Unlike checkpointing it imposes no
-	// schedule constraints: any scenario accepts it, and paths without
-	// instance boundaries (the NUMA parallel HPCG solve) simply leave the
-	// mailbox at its totals. Progress never appears in Metrics, so observed
-	// and unobserved runs produce byte-identical golden output.
+	// at the run's instance boundaries (atomic stores only — see
+	// core.Machine.ObserveProgress). Progress never appears in Metrics, so
+	// observed and unobserved runs produce byte-identical golden output.
 	Progress *telemetry.Progress
 	// Machine, when non-nil, replaces the scenario's named hierarchy and
 	// NUMA topology with a declarative machine spec (simrun -machine,
@@ -235,28 +228,6 @@ func SkipReason(sc Scenario, opts Options) string {
 	return ""
 }
 
-// CheckpointSupported reports whether Run(sc, opts) accepts a Checkpointer
-// (periodic, demand or resume): the deterministic instance-boundary
-// schedules — sequential workload runs (the built-in workloads are all
-// ResumableWorkload) and flat HPCG. The NUMA HPCG path runs the 1-worker
-// parallel solve, which has no instance-boundary snapshot point. A server
-// consults this before attaching a drain checkpointer to a job; jobs on
-// unsupported paths are cancelled at the drain deadline instead.
-func CheckpointSupported(sc Scenario, opts Options) bool {
-	sockets := sc.Sockets
-	if opts.Machine != nil {
-		sockets = opts.Machine.Sockets
-	}
-	if opts.Sockets > 0 {
-		sockets = opts.Sockets
-	}
-	if sc.HPCG != nil {
-		return sockets == 0
-	}
-	_, resumable := sc.Workload().(workloads.ResumableWorkload)
-	return resumable
-}
-
 // registry holds the scenarios in registration order; names is the
 // uniqueness index.
 var (
@@ -325,11 +296,11 @@ func Get(name string) (Scenario, bool) {
 }
 
 // Run executes the scenario deterministically and collects its canonical
-// metrics. Single-thread flat scenarios run through a Session (the
-// canonical pipeline); multi-thread — and every NUMA-routed — scenario
-// runs on a Machine under a deterministic schedule (the sequential
-// workload schedule, or the 1-worker parallel HPCG solve), so repeated
-// runs — and the fast vs. reference paths — are byte-identical.
+// metrics. Every scenario runs on a Machine under a deterministic
+// schedule — core.RunWorkload's thread-major workload schedule, or
+// core.RunHPCGCheckpointed's one-iteration-at-a-time CG solve on one core
+// — so repeated runs, and the fast vs. reference paths, are
+// byte-identical.
 func Run(sc Scenario, opts Options) (*Metrics, error) {
 	spec := opts.Machine
 	if spec != nil {
@@ -397,8 +368,7 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 	}
 
 	var ck *core.Checkpointer
-	wantCheckpoint := opts.CheckpointEvery > 0 || opts.Resume != nil || opts.CheckpointDemand != nil
-	if wantCheckpoint || opts.Progress != nil {
+	if opts.CheckpointEvery > 0 || opts.Resume != nil || opts.CheckpointDemand != nil || opts.Progress != nil {
 		tagName := sc.Name
 		if spec != nil {
 			// A machine-spec override changes the simulated hardware: make
@@ -422,40 +392,20 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 		}
 	}
 
+	var mach *core.Machine
+	var folded func(thread int) *folding.Folded
+	var paper []core.PaperPhase
 	if sc.HPCG != nil {
 		if threads != 1 {
 			return nil, fmt.Errorf("scenario %q: HPCG golden scenarios are single-thread (the barrier-coupled parallel solve has no deterministic schedule); use hpcgrepro -threads for the concurrent run", sc.Name)
 		}
 		m.Workload = "hpcg"
 		m.Iters = sc.HPCG.MaxIters
-		if numaOn {
-			if wantCheckpoint {
-				return nil, fmt.Errorf("scenario %q: checkpointing is not supported on the NUMA HPCG path (the barrier-coupled parallel solve has no instance-boundary snapshot point)", sc.Name)
-			}
-			// The 1-worker parallel solve is deterministic (one goroutine)
-			// and runs on a Machine, which is what carries the NUMA layer.
-			run, err := core.RunHPCGParallel(opts.Context, cfg, *sc.HPCG, 1)
-			if err != nil {
-				if rerr := asRunError(err); rerr != nil && run != nil {
-					markPartial(m, rerr)
-					return m, err
-				}
-				return nil, err
-			}
-			m.CG = cgMetrics(run.CG)
-			mach := run.Machine
-			folded := func(thread int) *folding.Folded { return run.Threads[thread-1].Folded }
-			m.PerThread, m.SharedL3, m.NUMA = machineMetrics(mach, folded, levelNames)
-			m.PerThread[0].Phases = paperPhaseMetrics(run.Threads[0].Paper,
-				mach.Primary().Hier.RemoteDRAMPossible())
-			m.Objects = objectMetrics(mach.Primary().Mon.Registry().Objects(), mach.Placement)
-			return m, nil
-		}
 		run, err := core.RunHPCGCheckpointed(opts.Context, cfg, *sc.HPCG, ck)
 		if err != nil {
 			if rerr := asRunError(err); rerr != nil && run != nil {
 				markPartial(m, rerr)
-				if run.CG != nil && len(run.CG.Residuals) > 0 {
+				if len(run.CG.Residuals) > 0 {
 					m.CG = cgMetrics(run.CG)
 				}
 				return m, err
@@ -463,17 +413,11 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 			return nil, err
 		}
 		m.CG = cgMetrics(run.CG)
-		m.Objects = objectMetrics(run.Session.Mon.Registry().Objects(), nil)
-		tm := sessionMetrics(run.Session, run.Folded, levelNames)
-		tm.Phases = paperPhaseMetrics(run.Paper, false)
-		m.PerThread = []ThreadMetrics{tm}
-		return m, nil
-	}
-
-	w := sc.Workload()
-	m.Workload = w.Name()
-	if threads == 1 && !numaOn {
-		res, err := core.RunWorkloadCheckpointed(opts.Context, cfg, w, sc.Iters, ck)
+		mach, folded, paper = run.Session.Machine, func(int) *folding.Folded { return run.Folded }, run.Paper
+	} else {
+		w := sc.Workload()
+		m.Workload = w.Name()
+		res, err := core.RunWorkload(opts.Context, cfg, w, sc.Iters, threads, ck)
 		if err != nil {
 			if rerr := asRunError(err); rerr != nil && res != nil {
 				markPartial(m, rerr)
@@ -481,21 +425,13 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 			}
 			return nil, err
 		}
-		m.PerThread = []ThreadMetrics{sessionMetrics(res.Session, res.Folded, levelNames)}
-		m.Objects = objectMetrics(res.Session.Mon.Registry().Objects(), nil)
-		return m, nil
+		mach, folded = res.Machine, func(thread int) *folding.Folded { return res.Threads[thread-1].Folded }
 	}
-	res, err := core.RunWorkloadSequentialCheckpointed(opts.Context, cfg, w, sc.Iters, threads, ck)
-	if err != nil {
-		if rerr := asRunError(err); rerr != nil && res != nil {
-			markPartial(m, rerr)
-			return m, err
-		}
-		return nil, err
+	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(mach, folded, levelNames)
+	if sc.HPCG != nil {
+		m.PerThread[0].Phases = paperPhaseMetrics(paper, mach.Primary().Hier.RemoteDRAMPossible())
 	}
-	folded := func(thread int) *folding.Folded { return res.Threads[thread-1].Folded }
-	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(res.Machine, folded, levelNames)
-	m.Objects = objectMetrics(res.Machine.Primary().Mon.Registry().Objects(), res.Machine.Placement)
+	m.Objects = objectMetrics(mach.Primary().Mon.Registry().Objects(), mach.Placement)
 	return m, nil
 }
 

@@ -204,10 +204,9 @@ type flight struct {
 	machine string           // display name
 	timeout time.Duration
 
-	checkpointable bool
-	resume         *checkpoint.Snapshot // set when restored from a parked .ck
-	resumed        bool
-	enqueued       time.Time // admission time (queue-wait histogram)
+	resume   *checkpoint.Snapshot // set when restored from a parked .ck
+	resumed  bool
+	enqueued time.Time // admission time (queue-wait histogram)
 
 	instances atomic.Uint64      // instance-boundary heartbeat (demand polls)
 	drain     atomic.Bool        // demand-checkpoint trigger
@@ -240,7 +239,7 @@ func (f *flight) status() Status {
 	}
 	if st.Instances == 0 {
 		// Before the run publishes exact progress, fall back to the demand
-		// poll heartbeat (checkpointable runs only).
+		// poll heartbeat (runs with a state dir only).
 		st.Instances = f.instances.Load()
 	}
 	if f.err != nil {
@@ -449,9 +448,6 @@ func (s *Server) resolve(req Request) (*flight, error) {
 		state:   StateQueued,
 		done:    make(chan struct{}),
 	}
-	// Demand checkpointing needs the deterministic schedules and somewhere
-	// to put the snapshot.
-	f.checkpointable = s.cfg.StateDir != "" && scenario.CheckpointSupported(sc, opts)
 	return f, nil
 }
 
@@ -670,7 +666,9 @@ func (s *Server) runFlight(f *flight) {
 	opts := f.opts
 	opts.Context = ctx
 	opts.Progress = &f.progress
-	if f.checkpointable {
+	if s.cfg.StateDir != "" {
+		// Every scenario runs a resumable schedule; demand checkpointing
+		// only needs somewhere to put the snapshot.
 		opts.CheckpointDemand = func() bool {
 			f.instances.Add(1)
 			return f.drain.Load()
@@ -732,8 +730,9 @@ func (s *Server) runFlight(f *flight) {
 		f.finish(StateCheckpointed, nil, err)
 
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainCancelled):
-		// Hard drain stop of a non-checkpointable run: park the request for
-		// a from-scratch re-run after restart (when a state dir exists).
+		// Hard drain stop before the run reached an instance boundary (or
+		// with no state dir to checkpoint into): park the request for a
+		// from-scratch re-run after restart (when a state dir exists).
 		if s.cfg.StateDir != "" {
 			if perr := s.park(f); perr == nil {
 				s.met.parked.Inc()
@@ -867,7 +866,7 @@ func (s *Server) Resume() (int, error) {
 			s.clearParked(key)
 			continue
 		}
-		if snap, ok := s.readSnapshot(key); ok && f.checkpointable {
+		if snap, ok := s.readSnapshot(key); ok {
 			f.resume = snap
 			f.resumed = true
 		}
@@ -901,9 +900,9 @@ func (s *Server) readSnapshot(key string) (*checkpoint.Snapshot, bool) {
 
 // Drain gracefully stops the server: admission stops immediately (new jobs
 // get 503 + Retry-After), queued jobs are parked, and in-flight jobs run up
-// to ctx's deadline — checkpointable runs stop at their next instance
-// boundary with a snapshot, the rest either finish or are hard-cancelled at
-// the deadline with partial results. Idempotent.
+// to ctx's deadline — with a state dir, runs stop at their next instance
+// boundary with a snapshot; otherwise they either finish or are
+// hard-cancelled at the deadline with partial results. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	alreadyDraining := s.draining

@@ -63,7 +63,7 @@ func init() {
 	})
 }
 
-// pacedWorkload delays each run call by a fixed wall-clock amount without
+// pacedWorkload delays each run window by a fixed wall-clock amount without
 // touching the simulated instruction stream (the sleep happens outside the
 // monitor, so metrics bytes are unchanged). The drain and deadline tests
 // need a job that is still in flight when the event lands, with or without
@@ -74,31 +74,15 @@ type pacedWorkload struct {
 	delay time.Duration
 }
 
-func (p *pacedWorkload) Run(ctx *workloads.Ctx, iters int) error {
-	time.Sleep(p.delay)
-	return p.Stream.Run(ctx, iters)
-}
-
-func (p *pacedWorkload) RunPartition(ctx *workloads.Ctx, iters, lo, hi int) error {
-	time.Sleep(p.delay)
-	return p.Stream.RunPartition(ctx, iters, lo, hi)
-}
-
 func (p *pacedWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
 	time.Sleep(p.delay)
 	return p.Stream.RunPartitionRange(ctx, startIter, endIter, lo, hi)
 }
 
-// panicWorkload sets up like a stream but panics the moment any run method
+// panicWorkload sets up like a stream but panics the moment a run window
 // executes — the stand-in for a bug in a simulated kernel.
 type panicWorkload struct{ *workloads.Stream }
 
-func (p *panicWorkload) Run(ctx *workloads.Ctx, iters int) error {
-	panic("simd_test: injected workload panic")
-}
-func (p *panicWorkload) RunPartition(ctx *workloads.Ctx, iters, lo, hi int) error {
-	panic("simd_test: injected workload panic")
-}
 func (p *panicWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
 	panic("simd_test: injected workload panic")
 }

@@ -32,16 +32,16 @@ type SpMV struct {
 // NewSpMV returns the 7-point stencil SpMV on an nx×ny×nz grid.
 func NewSpMV(nx, ny, nz int) *SpMV { return &SpMV{NX: nx, NY: ny, NZ: nz} }
 
-// Name implements Workload.
+// Name implements PartitionedWorkload.
 func (s *SpMV) Name() string { return "spmv_csr" }
 
-// Region implements Workload.
+// Region implements PartitionedWorkload.
 func (s *SpMV) Region() extrae.Region { return s.region }
 
 // Rows returns the matrix row count.
 func (s *SpMV) Rows() int { return s.NX * s.NY * s.NZ }
 
-// Setup implements Workload: build the CSR structure and allocate the
+// Setup implements PartitionedWorkload: build the CSR structure and allocate the
 // instrumented arrays (values, column indices, x and y).
 func (s *SpMV) Setup(ctx *Ctx) error {
 	if s.NX <= 0 || s.NY <= 0 || s.NZ <= 0 {
@@ -128,25 +128,15 @@ func (s *SpMV) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload.
-func (s *SpMV) Run(ctx *Ctx, iters int) error {
-	return s.RunPartition(ctx, iters, 0, s.Rows())
-}
-
 // Elements implements PartitionedWorkload: the partitionable unit is a
 // matrix row.
 func (s *SpMV) Elements() int { return s.Rows() }
 
-// RunPartition implements PartitionedWorkload: y = A·x over rows [lo, hi).
-// Values and columns stream through the batched issue path; the x gather
-// is one indexed load per nonzero. x is read-only and the y rows are
-// disjoint per block, so concurrent partitions are race-free.
-func (s *SpMV) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return s.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. y = A·x is recomputed
-// from scratch each pass, so iterations are independent.
+// RunPartitionRange implements PartitionedWorkload: y = A·x over rows
+// [lo, hi). Values and columns stream through the batched issue path; the
+// x gather is one indexed load per nonzero. x is read-only and the y rows
+// are disjoint per block, so concurrent partitions are race-free. y = A·x
+// is recomputed from scratch each pass, so iterations are independent.
 func (s *SpMV) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
 	for it := startIter; it < endIter; it++ {
@@ -176,7 +166,7 @@ func (s *SpMV) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) e
 	return nil
 }
 
-// Value returns y[i] after Run.
+// Value returns y[i] after a run.
 func (s *SpMV) Value(i int) float64 { return s.y[i] }
 
 // Expected returns the stencil row sum for row i with x ≡ 1: the diagonal
@@ -187,9 +177,9 @@ func (s *SpMV) Expected(i int) float64 {
 
 // Interface conformance: every synthetic workload partitions and resumes.
 var (
-	_ ResumableWorkload = (*Stream)(nil)
-	_ ResumableWorkload = (*RandomAccess)(nil)
-	_ ResumableWorkload = (*PointerChase)(nil)
-	_ ResumableWorkload = (*MatMul)(nil)
-	_ ResumableWorkload = (*SpMV)(nil)
+	_ PartitionedWorkload = (*Stream)(nil)
+	_ PartitionedWorkload = (*RandomAccess)(nil)
+	_ PartitionedWorkload = (*PointerChase)(nil)
+	_ PartitionedWorkload = (*MatMul)(nil)
+	_ PartitionedWorkload = (*SpMV)(nil)
 )

@@ -35,6 +35,12 @@ func newCtx(t *testing.T) *Ctx {
 	return &Ctx{Core: core, Mon: mon, Bin: bin}
 }
 
+// runAll runs iters iterations of w over its whole element range, as a
+// 1-thread Machine does.
+func runAll(ctx *Ctx, w PartitionedWorkload, iters int) error {
+	return w.RunPartitionRange(ctx, 0, iters, 0, w.Elements())
+}
+
 func TestStreamMathAndNames(t *testing.T) {
 	ctx := newCtx(t)
 	s := NewStream(1 << 12)
@@ -44,7 +50,7 @@ func TestStreamMathAndNames(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 2); err != nil {
+	if err := runAll(ctx, s, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.N; i += 100 {
@@ -71,7 +77,7 @@ func TestStreamLoadStoreRatio(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 1); err != nil {
+	if err := runAll(ctx, s, 1); err != nil {
 		t.Fatal(err)
 	}
 	p := ctx.Core.PMU()
@@ -92,7 +98,7 @@ func TestRandomAccessDRAMBound(t *testing.T) {
 	if err := r.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(ctx, 1); err != nil {
+	if err := runAll(ctx, r, 1); err != nil {
 		t.Fatal(err)
 	}
 	h := ctx.Core.Hierarchy()
@@ -139,7 +145,7 @@ func TestPointerChaseVisitsEveryNode(t *testing.T) {
 	if node != 0 {
 		t.Error("chase did not return to start")
 	}
-	if err := p.Run(ctx, 1); err != nil {
+	if err := runAll(ctx, p, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Core.PMU().True(cpu.CtrLoads); got != uint64(p.N) {
@@ -163,7 +169,7 @@ func TestMatMulMath(t *testing.T) {
 	if err := m.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(ctx, 1); err != nil {
+	if err := runAll(ctx, m, 1); err != nil {
 		t.Fatal(err)
 	}
 	// A all ones, B all twos: C[i][j] = N * 1 * 2 = 32.
@@ -207,7 +213,7 @@ func TestSpMVMath(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 1); err != nil {
+	if err := runAll(ctx, s, 1); err != nil {
 		t.Fatal(err)
 	}
 	// x ≡ 1: each row sums to 6 minus the number of present neighbours —
@@ -239,9 +245,8 @@ func TestSpMVValidation(t *testing.T) {
 // sweeps (triad, SpMV, matmul) the outputs equal their closed forms; for
 // random access the per-block update counts land (each block scales
 // UpdatesPerIter by its share, so the 3-way total may round a few updates
-// below one full Run's); for pointer chase the step counts sum to one full
-// cycle. (Exact Run == RunPartition(0, N) equality through the whole stack
-// is pinned by core's TestPartitionSingleThreadIdenticalToSession.)
+// below one full-range run's); for pointer chase the step counts sum to one
+// full cycle.
 func TestPartitionsCoverElements(t *testing.T) {
 	run3 := func(t *testing.T, w PartitionedWorkload) *Ctx {
 		t.Helper()
@@ -252,7 +257,7 @@ func TestPartitionsCoverElements(t *testing.T) {
 		n := w.Elements()
 		for p := 0; p < 3; p++ {
 			lo, hi := p*n/3, (p+1)*n/3
-			if err := w.RunPartition(ctx, 1, lo, hi); err != nil {
+			if err := w.RunPartitionRange(ctx, 0, 1, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 		}
