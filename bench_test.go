@@ -36,7 +36,6 @@ import (
 	"repro/internal/pebs"
 	"repro/internal/prog"
 	"repro/internal/report"
-	"repro/internal/reuse"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -567,7 +566,7 @@ func BenchmarkCoreLoadStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
 		base := uint64((i % (1 << 20))) * 8
-		c.LoadStream(0x400000, base, 8, 8, chunk)
+		c.IssueRun(cpu.LineRun{IP: 0x400000, Base: base, Stride: 8, Size: 8, Count: chunk})
 	}
 }
 
@@ -656,54 +655,10 @@ func BenchmarkFoldingFoldFigure(b *testing.B) {
 	}
 }
 
-// BenchmarkReuseDistance measures the Fenwick-tree stack-distance analyzer
-// (the paper-motivated reuse-distance extension).
-func BenchmarkReuseDistance(b *testing.B) {
-	a, err := reuse.NewAnalyzer(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	addrs := make([]uint64, 1<<16)
-	for i := range addrs {
-		addrs[i] = uint64(rng.Intn(1<<22)) &^ 63
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Touch(addrs[i%len(addrs)])
-	}
-}
-
-// BenchmarkTraceEncode measures trace encoding throughput: binary is the
-// compact varint form, prv the Paraver text form every pipeline writes,
-// over Figure-1-shaped records (7 sample pairs + 8 counter pairs each, at
-// about the record count of the Figure 1 trace).
+// BenchmarkTraceEncode measures the throughput of the Paraver text form
+// every pipeline writes, over Figure-1-shaped records (7 sample pairs + 8
+// counter pairs each, at about the record count of the Figure 1 trace).
 func BenchmarkTraceEncode(b *testing.B) {
-	b.Run("binary", func(b *testing.B) {
-		recs := make([]trace.Record, 10000)
-		for i := range recs {
-			recs[i] = trace.Record{
-				TimeNs: uint64(i) * 100, Task: 1, Thread: 1,
-				Pairs: []trace.TypeValue{
-					{Type: trace.TypeSampleAddr, Value: int64(i) * 64},
-					{Type: trace.TypeSampleLatency, Value: 36},
-				},
-			}
-		}
-		// Measure the actual encoded size once so the reported throughput is
-		// bytes of output per second, not records per second.
-		var cw countingWriter
-		if err := trace.WriteBinary(&cw, 1, 1, 0, recs); err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(cw.n)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := trace.WriteBinary(io.Discard, 1, 1, 0, recs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("prv", func(b *testing.B) {
 		const nRecs = 131072
 		const nPairs = 15

@@ -77,7 +77,11 @@ func TestServeSubmitAndSigtermDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := scenario.RunByName("stream_triad_1t", scenario.Options{})
+	sc, ok := scenario.Get("stream_triad_1t")
+	if !ok {
+		t.Fatal("stream_triad_1t not registered")
+	}
+	m, err := scenario.Run(sc, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,11 @@ func TestSigtermCheckpointsAndRestartResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := scenario.RunByName("matmul_2t", scenario.Options{})
+	sc, ok := scenario.Get("matmul_2t")
+	if !ok {
+		t.Fatal("matmul_2t not registered")
+	}
+	m, err := scenario.Run(sc, scenario.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -629,14 +629,3 @@ func (r *MachineHPCGRun) Figure() *report.MachineFigure {
 	fig.NUMA = r.Machine.NUMAReport()
 	return fig
 }
-
-// PhaseByLabel returns thread t's (1-based) first phase with the given
-// paper label.
-func (r *MachineHPCGRun) PhaseByLabel(thread int, label string) (folding.Phase, bool) {
-	for _, pp := range r.Threads[thread-1].Paper {
-		if pp.Label == label {
-			return pp.Phase, true
-		}
-	}
-	return folding.Phase{}, false
-}

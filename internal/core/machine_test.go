@@ -6,10 +6,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/folding"
 	"repro/internal/hpcg"
 	"repro/internal/numa"
 	"repro/internal/workloads"
 )
+
+// paperPhase returns thread th's (1-based) first phase with the given paper
+// label.
+func paperPhase(run *MachineHPCGRun, th int, label string) (folding.Phase, bool) {
+	for _, pp := range run.Threads[th-1].Paper {
+		if pp.Label == label {
+			return pp.Phase, true
+		}
+	}
+	return folding.Phase{}, false
+}
 
 // TestMachineSingleThreadIdenticalToSession pins the one HPCG step driver
 // to the concurrent team solve: RunHPCG (CGRun.Step one iteration at a
@@ -161,7 +173,7 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 			t.Errorf("thread %d: %d phases (%v), want the paper's 7", tr.Thread, len(tr.Paper), pl)
 		}
 		for _, want := range []string{"a1", "a2", "B", "C", "d1", "d2", "E"} {
-			if _, ok := run.PhaseByLabel(tr.Thread, want); !ok {
+			if _, ok := paperPhase(run, tr.Thread, want); !ok {
 				t.Errorf("thread %d: paper phase %s missing (labels %v)", tr.Thread, want, pl)
 			}
 		}
@@ -171,7 +183,7 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 	// must be (roughly) disjoint and ascending with the thread id.
 	var prevLo uint64
 	for th := 1; th <= threads; th++ {
-		p, ok := run.PhaseByLabel(th, "a1")
+		p, ok := paperPhase(run, th, "a1")
 		if !ok {
 			continue
 		}

@@ -114,8 +114,8 @@ type Config struct {
 	// MemOverlap in [0,1) is the fraction of a memory access latency hidden
 	// by out-of-order overlap and MLP; 0 serializes every access.
 	MemOverlap float64
-	// PerOpStreams degrades the batched stream-issue APIs (LoadStream,
-	// LoadDepStream, StoreStream) to plain per-operation issue. This is the
+	// PerOpStreams degrades the batched line-run issue (IssueRun,
+	// IssueRuns) to plain per-operation issue. This is the
 	// reference path: equivalence tests run workloads both ways and require
 	// identical traces, counters and cache statistics.
 	PerOpStreams bool
@@ -440,27 +440,6 @@ func (c *Core) IssueRuns(runs []LineRun) {
 	}
 }
 
-// LoadStream retires n loads at ip sweeping addresses base, base+stride,
-// ..., base+(n-1)*stride. It is semantically identical to n Load calls —
-// same counters, cache state, stall cycles and samples — but resolves each
-// distinct cache line only once: the whole run is handed to the
-// hierarchy's batched run-probe, splitting only where a sample gate or
-// quantum hook must fire mid-run.
-func (c *Core) LoadStream(ip, base uint64, stride, size, n int) {
-	c.stream(ip, base, stride, size, n, false, false)
-}
-
-// LoadDepStream is LoadStream with LoadDep semantics: each element load is
-// part of a dependency chain and stalls for its full latency.
-func (c *Core) LoadDepStream(ip, base uint64, stride, size, n int) {
-	c.stream(ip, base, stride, size, n, false, true)
-}
-
-// StoreStream is LoadStream for stores.
-func (c *Core) StoreStream(ip, base uint64, stride, size, n int) {
-	c.stream(ip, base, stride, size, n, true, false)
-}
-
 // stream is the line-run issue layer. The batched path bounds, up front,
 // how many operations can retire without a monitoring event, issues that
 // many through one memhier.AccessRun call (one line-resolving probe per
@@ -553,12 +532,4 @@ func (c *Core) Stall(cycles uint64) {
 	}
 	c.pmu.count(CtrCycles, cycles)
 	c.advance(cycles)
-}
-
-// IPC returns retired instructions per cycle so far (0 when idle).
-func (c *Core) IPC() float64 {
-	if c.cycles == 0 {
-		return 0
-	}
-	return float64(c.pmu.True(CtrInstructions)) / float64(c.cycles)
 }

@@ -62,9 +62,6 @@ func TestComputeAccounting(t *testing.T) {
 	if c.Cycles() != 500 {
 		t.Errorf("cycles = %d, want 500", c.Cycles())
 	}
-	if ipc := c.IPC(); math.Abs(ipc-2) > 1e-9 {
-		t.Errorf("IPC = %g, want 2", ipc)
-	}
 }
 
 func TestComputeFractionalAccumulation(t *testing.T) {
@@ -176,8 +173,8 @@ func TestPMUProgramValidation(t *testing.T) {
 	if err := p.Program([][]CounterID{{CtrLoads, CtrStores}}, 0); err != nil {
 		t.Errorf("valid single group rejected: %v", err)
 	}
-	if len(p.Groups()) != 1 {
-		t.Error("Groups() wrong")
+	if len(p.groups) != 1 {
+		t.Error("groups wrong")
 	}
 }
 
@@ -259,17 +256,17 @@ func TestPMUSlotRotation(t *testing.T) {
 	if err := p.Program([][]CounterID{{CtrLoads}, {CtrStores}}, 100); err != nil {
 		t.Fatal(err)
 	}
-	if p.ActiveGroup() != 0 {
+	if p.slot != 0 {
 		t.Error("initial slot not 0")
 	}
 	p.tick(100)
-	if p.ActiveGroup() != 1 {
-		t.Errorf("after one quantum slot = %d, want 1", p.ActiveGroup())
+	if p.slot != 1 {
+		t.Errorf("after one quantum slot = %d, want 1", p.slot)
 	}
 	p.tick(250) // wraps 2.5 quanta: 1 -> 0 -> 1, half quantum into slot 1...
 	// 250 cycles = 2 full quanta (to slot 0 then 1) + 50 residue.
-	if p.ActiveGroup() != 1 {
-		t.Errorf("slot = %d after 350 total cycles, want 1", p.ActiveGroup())
+	if p.slot != 1 {
+		t.Errorf("slot = %d after 350 total cycles, want 1", p.slot)
 	}
 	// Counting attribution: only active-slot events become visible.
 	p.count(CtrStores, 5) // stores group is active

@@ -135,12 +135,6 @@ func (p *PMU) Program(groups [][]CounterID, quantum uint64) error {
 	return nil
 }
 
-// Groups returns the programmed groups (for inspection).
-func (p *PMU) Groups() [][]CounterID { return p.groups }
-
-// ActiveGroup returns the index of the currently counting group.
-func (p *PMU) ActiveGroup() int { return p.slot }
-
 // counting reports whether counter c is currently accumulating.
 func (p *PMU) counting(c CounterID) bool {
 	if c.fixed() {

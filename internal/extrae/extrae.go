@@ -230,9 +230,6 @@ func (m *Monitor) Labels() *trace.Labels { return m.labels }
 // Engine exposes the PEBS engine (for stats and ablations).
 func (m *Monitor) Engine() *pebs.Engine { return m.engine }
 
-// Core returns the monitored core.
-func (m *Monitor) Core() *cpu.Core { return m.core }
-
 // Start enables sampling and trace emission. Allocation tracking is active
 // from construction (objects allocated during setup must be known), but no
 // events are recorded until Start — this models the paper's focus on the
@@ -318,9 +315,6 @@ func (m *Monitor) accrueEligibleAt(ev pebs.EventMask, curL, curS uint64) {
 	}
 	m.lastLoads, m.lastStores = curL, curS
 }
-
-// Enabled reports whether the monitor is currently recording.
-func (m *Monitor) Enabled() bool { return m.enabled }
 
 // RegisterRegion assigns an id to a named code region and labels it.
 func (m *Monitor) RegisterRegion(name string) Region {

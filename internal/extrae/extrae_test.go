@@ -84,7 +84,7 @@ func TestDisabledUntilStart(t *testing.T) {
 	if len(r.mon.Records()) != 0 {
 		t.Errorf("%d records before Start", len(r.mon.Records()))
 	}
-	if r.mon.Enabled() {
+	if r.mon.enabled {
 		t.Error("enabled before Start")
 	}
 	r.mon.Start()
@@ -388,7 +388,7 @@ func TestTraceRoundTripThroughWriter(t *testing.T) {
 
 	recs := r.mon.Records()
 	labels := r.mon.Labels()
-	if labels.ValueName(trace.TypeRegion, int64(reg)) != "k" {
+	if labels.Values[trace.TypeRegion][int64(reg)] != "k" {
 		t.Error("region label missing")
 	}
 	// All record times must be non-decreasing (single thread).

@@ -77,16 +77,6 @@ func Enable(name string, after uint64, err error) {
 	points[name] = &point{after: after, err: err}
 }
 
-// Disable disarms one point.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every point (deferred by every test that arms one).
 func Reset() {
 	mu.Lock()

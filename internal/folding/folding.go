@@ -52,8 +52,15 @@ type Instance struct {
 // DurationNs returns the instance duration.
 func (in *Instance) DurationNs() uint64 { return in.T1 - in.T0 }
 
-// Extract collects the instances of the given region id from a chronological
-// trace record stream, attaching the samples that fall inside each instance.
+// ExtractThread collects the instances of the given region id emitted by
+// one (task, thread) of a chronological trace record stream (ids are
+// 1-based, as in Paraver), attaching the samples that fall inside each
+// instance. Records from other emitters are ignored, so each simulated
+// thread of a Machine run folds independently: scanning a merged trace
+// thread-blind would interleave region events from different threads (a
+// foreign end event lands inside an open instance and truncates it at the
+// wrong timestamp) and corrupt every folded curve.
+//
 // Regions nest (an HPCG iteration contains SYMGS/SPMV/MG sub-regions); the
 // nesting depth of sub-regions opened inside the instance is tracked so
 // only the matching end event closes an instance. End events are anonymous
@@ -63,21 +70,6 @@ func (in *Instance) DurationNs() uint64 { return in.T1 - in.T0 }
 // Ends seen outside any instance (an enclosing region's end, or an
 // unmatched end whose entry predates the trace) are ignored. Nested
 // occurrences of the *same* region id are rejected.
-//
-// Extract assumes a single-thread stream: every record must come from one
-// (task, thread). For a merged multi-thread trace use ExtractThread, which
-// filters by emitter — scanning a merged trace thread-blind interleaves
-// region events from different threads (a foreign end event lands inside
-// an open instance and truncates it at the wrong timestamp) and corrupts
-// every folded curve.
-func Extract(records []trace.Record, region int64) ([]Instance, error) {
-	return extract(records, region, 0, 0)
-}
-
-// ExtractThread is Extract over the records emitted by one (task, thread)
-// of a merged multi-thread trace (ids are 1-based, as in Paraver). Records
-// from other emitters are ignored, so each simulated thread of a Machine
-// run folds independently.
 func ExtractThread(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
 	if task <= 0 || thread <= 0 {
 		return nil, fmt.Errorf("folding: task/thread must be 1-based, got %d/%d", task, thread)
@@ -85,10 +77,10 @@ func ExtractThread(records []trace.Record, region int64, task, thread int) ([]In
 	return extract(records, region, task, thread)
 }
 
-// extract implements Extract and ExtractThread; task == 0 disables the
-// emitter filter. The first pass delimits the instances and counts their
-// samples; the second fills each instance's Samples, allocated at its exact
-// size, from the records the instance spans.
+// extract implements ExtractThread; task == 0 disables the emitter filter
+// for a single-thread stream. The first pass delimits the instances and
+// counts their samples; the second fills each instance's Samples, allocated
+// at its exact size, from the records the instance spans.
 func extract(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
 	var out []Instance
 	var spans [][2]int // record indices of each instance's entry and exit

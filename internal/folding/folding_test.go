@@ -202,7 +202,7 @@ func muxInstances() []Instance {
 // TestFoldSharedCloudsMatchPerCounterFit pins the grouped regression of
 // Fold: with counters spread over several distinct sigma clouds, every
 // Cumulative and Rates curve must carry the same bits as the per-counter
-// computation, one Fit per counter.
+// computation, one regression per counter.
 func TestFoldSharedCloudsMatchPerCounterFit(t *testing.T) {
 	ins := muxInstances()
 	cfg := DefaultConfig()
@@ -221,10 +221,11 @@ func TestFoldSharedCloudsMatchPerCounterFit(t *testing.T) {
 		if !slices.ContainsFunc(clouds, func(cl []float64) bool { return slices.Equal(cl, xs) }) {
 			clouds = append(clouds, xs)
 		}
-		fit, err := sm.Fit(xs, ys, f.Grid)
+		fits, err := sm.FitMany(xs, [][]float64{ys}, f.Grid)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fit := fits[0]
 		fit = stats.Isotonic(fit)
 		stats.Clamp(fit, 0, 1)
 		fit[0], fit[len(fit)-1] = 0, 1
@@ -401,20 +402,6 @@ func TestLabelPhases(t *testing.T) {
 	}
 }
 
-func TestPhaseAt(t *testing.T) {
-	f, err := Fold(synthInstances(20), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := f.PhaseAt(0.1)
-	if !ok || p.Lo > 0.1 || p.Hi <= 0.1 {
-		t.Errorf("PhaseAt(0.1) = %+v, %v", p, ok)
-	}
-	if _, ok := f.PhaseAt(1.5); ok {
-		t.Error("PhaseAt(1.5) matched")
-	}
-}
-
 func TestSweepDirString(t *testing.T) {
 	if SweepFlat.String() != "flat" || SweepForward.String() != "forward" ||
 		SweepBackward.String() != "backward" {
@@ -454,7 +441,7 @@ func TestExtractInstances(t *testing.T) {
 		{TimeNs: 400, Task: 1, Thread: 1,
 			Pairs: append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}, ctr(300)...)},
 	}
-	ins, err := Extract(recs, 7)
+	ins, err := extract(recs, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +474,7 @@ func TestExtractNestedRejected(t *testing.T) {
 		{TimeNs: 1, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}},
 		{TimeNs: 2, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}},
 	}
-	if _, err := Extract(recs, 7); err == nil {
+	if _, err := extract(recs, 7, 0, 0); err == nil {
 		t.Error("nested instance accepted")
 	}
 }
@@ -497,7 +484,7 @@ func TestExtractIgnoresOtherRegions(t *testing.T) {
 		{TimeNs: 1, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
 		{TimeNs: 2, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
 	}
-	ins, err := Extract(recs, 7)
+	ins, err := extract(recs, 7, 0, 0)
 	if err != nil || len(ins) != 0 {
 		t.Errorf("ins = %v, err = %v", ins, err)
 	}
@@ -572,10 +559,10 @@ func TestExtractThreadInterleaved(t *testing.T) {
 	if _, err := ExtractThread(merged, 7, 0, 1); err == nil {
 		t.Error("0-based task accepted")
 	}
-	// The thread-blind Extract cannot parse this stream (thread 2's entry
+	// The thread-blind extract cannot parse this stream (thread 2's entry
 	// nests inside thread 1's open instance of the same region id).
-	if _, err := Extract(merged, 7); err == nil {
-		t.Error("thread-blind Extract accepted an interleaved merged trace")
+	if _, err := extract(merged, 7, 0, 0); err == nil {
+		t.Error("thread-blind extract accepted an interleaved merged trace")
 	}
 }
 
@@ -599,7 +586,7 @@ func TestExtractNestedRegionInsideEnclosure(t *testing.T) {
 		regionRec(150, 1, 1, 0, 1400),
 		regionRec(190, 1, 1, 0, 1900),
 	}
-	ins, err := Extract(recs, 7)
+	ins, err := extract(recs, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +617,7 @@ func TestExtractIgnoresUnmatchedEnds(t *testing.T) {
 		regionRec(200, 1, 1, 7, 1000),
 		regionRec(300, 1, 1, 0, 1900),
 	}
-	ins, err := Extract(recs, 7)
+	ins, err := extract(recs, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,13 +353,3 @@ func (f *Folded) LabelPhases(funcOf func(ip uint64) string) {
 		p.Name = name
 	}
 }
-
-// PhaseAt returns the phase containing sigma, if any.
-func (f *Folded) PhaseAt(sigma float64) (Phase, bool) {
-	for _, p := range f.Phases {
-		if sigma >= p.Lo && sigma < p.Hi {
-			return p, true
-		}
-	}
-	return Phase{}, false
-}

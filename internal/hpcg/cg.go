@@ -84,9 +84,10 @@ func (p *Problem) NewCGRun() (*CGRun, error) {
 	return c, nil
 }
 
-// Step executes the next CG iteration as one instrumented instance and
-// reports whether the solve has finished (converged or iteration budget
-// exhausted).
+// Step executes the next CG iteration as one instrumented "CG_iteration"
+// instance and reports whether the solve has finished (converged or
+// iteration budget exhausted). The loop structure matches the HPCG 3.0
+// reference CG (z = MG(r); beta; p; alpha; updates).
 func (c *CGRun) Step() (bool, error) {
 	if c.done {
 		return true, nil
@@ -148,9 +149,6 @@ func (c *CGRun) finish() {
 // Result returns the solve summary; FinalError is only meaningful once Step
 // has reported done.
 func (c *CGRun) Result() *CGResult { return c.res }
-
-// NextIteration returns the 1-based iteration the next Step will run.
-func (c *CGRun) NextIteration() int { return c.next }
 
 // CGRunState is the serializable cross-iteration state of a CGRun. The MG
 // level vectors are deliberately absent: every MG call overwrites them
@@ -214,23 +212,4 @@ func (c *CGRun) RestoreState(st CGRunState) error {
 	c.res.FinalError = st.FinalError
 	c.res.Residuals = append(c.res.Residuals[:0], st.Residuals...)
 	return nil
-}
-
-// RunCG executes the preconditioned conjugate gradient solve, instrumenting
-// each iteration as the foldable "CG_iteration" region. The loop structure
-// matches the HPCG 3.0 reference CG (z = MG(r); beta; p; alpha; updates).
-func (p *Problem) RunCG() (*CGResult, error) {
-	c, err := p.NewCGRun()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		done, err := c.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return c.Result(), nil
-		}
-	}
 }

@@ -50,15 +50,6 @@ func (g Geometry) Index(ix, iy, iz int) int {
 	return iz*g.NY*g.NX + iy*g.NX + ix
 }
 
-// Coords converts a row index back to grid coordinates.
-func (g Geometry) Coords(row int) (ix, iy, iz int) {
-	iz = row / (g.NX * g.NY)
-	rem := row % (g.NX * g.NY)
-	iy = rem / g.NX
-	ix = rem % g.NX
-	return
-}
-
 // MaxNonzerosPerRow is the 27-point stencil width.
 const MaxNonzerosPerRow = 27
 

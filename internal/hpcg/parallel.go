@@ -112,9 +112,6 @@ func (t *Team) Err() error {
 // Size returns the number of workers.
 func (t *Team) Size() int { return len(t.workers) }
 
-// Workers returns the team's workers (index = thread id - 1).
-func (t *Team) Workers() []*Worker { return t.workers }
-
 // Close terminates the worker goroutines. The team is unusable afterwards.
 func (t *Team) Close() {
 	for _, ch := range t.work {
@@ -342,7 +339,8 @@ func (p *Problem) parallelMG(team *Team, r, z *Vector) {
 // the team, one instrumented "CG_iteration" region instance per iteration
 // per thread. Worker 0 must be the problem's own core/monitor (the primary
 // thread owns setup allocations and the scalar bookkeeping traffic). With
-// a single worker the executed instruction stream is identical to RunCG.
+// a single worker the executed instruction stream is identical to stepping
+// a CGRun.
 func (p *Problem) RunCGParallel(team *Team) (*CGResult, error) {
 	if team.workers[0].Core != p.core || team.workers[0].Mon != p.mon {
 		return nil, fmt.Errorf("hpcg: team worker 0 must be the problem's primary core/monitor")

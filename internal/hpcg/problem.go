@@ -114,11 +114,6 @@ type Params struct {
 	DisableGrouping bool
 }
 
-// DefaultParams returns a simulator-friendly scaled-down configuration.
-func DefaultParams() Params {
-	return Params{NX: 32, NY: 32, NZ: 32, MGLevels: 4, MaxIters: 10}
-}
-
 // Validate checks the parameters.
 func (p Params) Validate() error {
 	g := Geometry{NX: p.NX, NY: p.NY, NZ: p.NZ}

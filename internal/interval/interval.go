@@ -18,12 +18,6 @@ type Interval struct {
 // Contains reports whether addr lies within the interval.
 func (iv Interval) Contains(addr uint64) bool { return addr >= iv.Lo && addr < iv.Hi }
 
-// Overlaps reports whether the two half-open intervals intersect.
-func (iv Interval) Overlaps(o Interval) bool { return iv.Lo < o.Hi && o.Lo < iv.Hi }
-
-// Len returns the number of addresses covered by the interval.
-func (iv Interval) Len() uint64 { return iv.Hi - iv.Lo }
-
 func (iv Interval) String() string { return fmt.Sprintf("[%#x,%#x)", iv.Lo, iv.Hi) }
 
 // ErrEmpty is returned when inserting an interval with Hi <= Lo.
@@ -87,27 +81,6 @@ func (t *Tree[V]) Stab(addr uint64) (iv Interval, v V, ok bool) {
 	}
 	return best.iv, best.val, true
 }
-
-// StabAll calls fn for every interval containing addr, in ascending (Lo, Hi)
-// order. Iteration stops early if fn returns false.
-func (t *Tree[V]) StabAll(addr uint64, fn func(Interval, V) bool) {
-	stabAll(t.root, addr, fn)
-}
-
-// Overlapping calls fn for every stored interval overlapping the query, in
-// ascending (Lo, Hi) order. Iteration stops early if fn returns false.
-func (t *Tree[V]) Overlapping(q Interval, fn func(Interval, V) bool) {
-	overlapping(t.root, q, fn)
-}
-
-// Walk visits all intervals in ascending (Lo, Hi) order.
-func (t *Tree[V]) Walk(fn func(Interval, V) bool) {
-	walk(t.root, fn)
-}
-
-// Height returns the height of the tree (0 for empty); exposed for testing
-// balance invariants.
-func (t *Tree[V]) Height() int { return height(t.root) }
 
 func height[V any](n *node[V]) int {
 	if n == nil {
@@ -269,53 +242,4 @@ func better[V any](cand, best *node[V]) bool {
 		return cand.iv.Lo > best.iv.Lo
 	}
 	return cand.iv.Hi < best.iv.Hi
-}
-
-func stabAll[V any](n *node[V], addr uint64, fn func(Interval, V) bool) bool {
-	if n == nil || maxHi(n) <= addr {
-		return true
-	}
-	if !stabAll(n.left, addr, fn) {
-		return false
-	}
-	if n.iv.Contains(addr) {
-		if !fn(n.iv, n.val) {
-			return false
-		}
-	}
-	if n.iv.Lo <= addr {
-		return stabAll(n.right, addr, fn)
-	}
-	return true
-}
-
-func overlapping[V any](n *node[V], q Interval, fn func(Interval, V) bool) bool {
-	if n == nil || maxHi(n) <= q.Lo {
-		return true
-	}
-	if !overlapping(n.left, q, fn) {
-		return false
-	}
-	if n.iv.Overlaps(q) {
-		if !fn(n.iv, n.val) {
-			return false
-		}
-	}
-	if n.iv.Lo < q.Hi {
-		return overlapping(n.right, q, fn)
-	}
-	return true
-}
-
-func walk[V any](n *node[V], fn func(Interval, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if !walk(n.left, fn) {
-		return false
-	}
-	if !fn(n.iv, n.val) {
-		return false
-	}
-	return walk(n.right, fn)
 }

@@ -17,35 +17,8 @@ func TestIntervalBasics(t *testing.T) {
 	if !iv.Contains(0x1fff) {
 		t.Error("Hi-1 must be contained")
 	}
-	if iv.Len() != 0x1000 {
-		t.Errorf("Len = %d, want %d", iv.Len(), 0x1000)
-	}
 	if got := iv.String(); got != "[0x1000,0x2000)" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestIntervalOverlaps(t *testing.T) {
-	a := Interval{10, 20}
-	cases := []struct {
-		b    Interval
-		want bool
-	}{
-		{Interval{0, 10}, false},  // touching below
-		{Interval{20, 30}, false}, // touching above
-		{Interval{0, 11}, true},
-		{Interval{19, 30}, true},
-		{Interval{12, 15}, true}, // nested
-		{Interval{0, 40}, true},  // covering
-		{Interval{10, 20}, true}, // equal
-	}
-	for _, c := range cases {
-		if got := a.Overlaps(c.b); got != c.want {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", a, c.b, got, c.want)
-		}
-		if got := c.b.Overlaps(a); got != c.want {
-			t.Errorf("overlap not symmetric for %v, %v", a, c.b)
-		}
 	}
 }
 
@@ -119,76 +92,6 @@ func TestDelete(t *testing.T) {
 	}
 	if err := tr.Delete(Interval{10, 20}); err != ErrNotFound {
 		t.Errorf("double delete err = %v, want ErrNotFound", err)
-	}
-}
-
-func TestWalkOrdered(t *testing.T) {
-	var tr Tree[int]
-	ivs := []Interval{{30, 40}, {10, 20}, {10, 15}, {0, 100}, {20, 25}}
-	for i, iv := range ivs {
-		must(t, tr.Insert(iv, i))
-	}
-	var got []Interval
-	tr.Walk(func(iv Interval, _ int) bool {
-		got = append(got, iv)
-		return true
-	})
-	for i := 1; i < len(got); i++ {
-		if !less(got[i-1], got[i]) {
-			t.Fatalf("Walk not ordered: %v before %v", got[i-1], got[i])
-		}
-	}
-	if len(got) != len(ivs) {
-		t.Fatalf("Walk visited %d, want %d", len(got), len(ivs))
-	}
-}
-
-func TestWalkEarlyStop(t *testing.T) {
-	var tr Tree[int]
-	for i := uint64(0); i < 10; i++ {
-		must(t, tr.Insert(Interval{i * 10, i*10 + 5}, int(i)))
-	}
-	n := 0
-	tr.Walk(func(Interval, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d, want 3", n)
-	}
-}
-
-func TestOverlapping(t *testing.T) {
-	var tr Tree[int]
-	for i := uint64(0); i < 10; i++ {
-		must(t, tr.Insert(Interval{i * 10, i*10 + 8}, int(i)))
-	}
-	var vals []int
-	tr.Overlapping(Interval{15, 35}, func(_ Interval, v int) bool {
-		vals = append(vals, v)
-		return true
-	})
-	// [10,18) [20,28) [30,38) overlap [15,35).
-	want := []int{1, 2, 3}
-	if len(vals) != len(want) {
-		t.Fatalf("Overlapping = %v, want %v", vals, want)
-	}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("Overlapping = %v, want %v", vals, want)
-		}
-	}
-}
-
-func TestStabAll(t *testing.T) {
-	var tr Tree[string]
-	must(t, tr.Insert(Interval{0, 100}, "a"))
-	must(t, tr.Insert(Interval{10, 50}, "b"))
-	must(t, tr.Insert(Interval{60, 70}, "c"))
-	var hits []string
-	tr.StabAll(20, func(_ Interval, v string) bool {
-		hits = append(hits, v)
-		return true
-	})
-	if len(hits) != 2 || hits[0] != "a" || hits[1] != "b" {
-		t.Errorf("StabAll(20) = %v, want [a b]", hits)
 	}
 }
 
@@ -271,7 +174,7 @@ func TestPropertyBalanced(t *testing.T) {
 			}
 		}
 		// log2(502) ~ 9; bound 1.45*9+2 ~ 15.
-		return tr.Height() <= 16
+		return height(tr.root) <= 16
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
@@ -282,22 +185,23 @@ func TestPropertyDeleteAll(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var tr Tree[int]
-		var ivs []Interval
+		var br brute
 		for i := 0; i < 200; i++ {
 			lo := uint64(rng.Intn(1 << 16))
 			iv := Interval{lo, lo + 1 + uint64(rng.Intn(256))}
 			if err := tr.Insert(iv, i); err != nil {
 				return false
 			}
+			br.insert(iv, i)
 		}
-		tr.Walk(func(iv Interval, _ int) bool { ivs = append(ivs, iv); return true })
+		ivs := br.ivs
 		rng.Shuffle(len(ivs), func(i, j int) { ivs[i], ivs[j] = ivs[j], ivs[i] })
 		for _, iv := range ivs {
 			if err := tr.Delete(iv); err != nil {
 				return false
 			}
 		}
-		return tr.Len() == 0 && tr.Height() == 0
+		return tr.Len() == 0 && height(tr.root) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -12,16 +12,14 @@
 // scenario.HierarchyConfig resolves them through the same path as a
 // user-supplied -machine file, so a spec-driven run and a named-hierarchy
 // run cannot drift apart. Specs have a canonical JSON serialization
-// (Spec.JSON) and a content fingerprint (Spec.Fingerprint) — the sweep
-// engine's cache key — so byte-identical machine descriptions are
-// recognized as the same machine regardless of where they were loaded from.
+// (Spec.JSON), which the sweep engine's cache key hashes, so byte-identical
+// machine descriptions are recognized as the same machine regardless of
+// where they were loaded from.
 package machspec
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"embed"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -381,24 +379,12 @@ func (s *Spec) NUMA() numa.Config {
 }
 
 // JSON returns the canonical serialization: two-space indented, fixed field
-// order, trailing newline — the byte form the fingerprint (and therefore
-// the sweep cache key) is computed over.
+// order, trailing newline — the byte form the sweep cache key is computed
+// over.
 func (s *Spec) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// Fingerprint returns the hex SHA-256 of the canonical serialization: two
-// specs with identical content have identical fingerprints regardless of
-// source formatting.
-func (s *Spec) Fingerprint() (string, error) {
-	b, err := s.JSON()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }

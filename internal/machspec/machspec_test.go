@@ -185,11 +185,6 @@ func TestCanonicalFixedPoint(t *testing.T) {
 		if !bytes.Equal(b1, b2) {
 			t.Errorf("spec %q: decode∘encode not a fixed point", name)
 		}
-		f1, _ := s.Fingerprint()
-		f2, _ := s2.Fingerprint()
-		if f1 != f2 || f1 == "" {
-			t.Errorf("spec %q: fingerprint not stable (%q vs %q)", name, f1, f2)
-		}
 	}
 }
 

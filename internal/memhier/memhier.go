@@ -522,18 +522,11 @@ func (h *Hierarchy) Levels() int {
 	return n
 }
 
-// SharedLLC returns the attached shared last-level cache (nil when every
-// level is private).
-func (h *Hierarchy) SharedLLC() *SharedCache { return h.shared }
-
 // SetDRAMRouter attaches the NUMA layer's per-socket router. It must be
 // called before any access (the attached core precomputes per-source stall
 // tables at construction, and switching routing mid-run would mislabel
 // history).
 func (h *Hierarchy) SetDRAMRouter(r DRAMRouter) { h.router = r }
-
-// DRAMRouter returns the attached router (nil for flat DRAM).
-func (h *Hierarchy) DRAMRouter() DRAMRouter { return h.router }
 
 // RemoteDRAMPossible reports whether this hierarchy can ever serve a fill
 // from a remote memory node — true only when a multi-node router is
@@ -1145,15 +1138,6 @@ type RunResult struct {
 	Bulk uint64
 }
 
-// Ops returns the total operations the result accounts for.
-func (rr *RunResult) Ops() uint64 {
-	var n uint64
-	for _, lines := range rr.Lines {
-		n += lines
-	}
-	return n + rr.Bulk
-}
-
 // AccessRun simulates n accesses sweeping addr, addr+stride, ...,
 // addr+(n-1)*stride (stride > 0) in one call: the line-run batch path. It
 // is byte-identical in cache-state mutation and statistics to n Access
@@ -1230,40 +1214,4 @@ func (h *Hierarchy) Contains(i int, addr uint64) bool {
 		return h.shared.contains(lineAddr)
 	}
 	return h.levels[i].contains(lineAddr)
-}
-
-// Reset clears all private cached state and counters. An attached shared
-// LLC is deliberately left alone (other cores may be using it); reset it
-// via SharedCache.Reset.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.levels {
-		clear(c.slab)
-		clear(c.occ)
-		clear(c.sigs)
-		clear(c.mats)
-		c.initTicks()
-		c.stats = LevelStats{}
-		c.tick = 0
-		c.mruValid = false
-	}
-	h.dram = 0
-	h.dramRemote = 0
-	h.mruHits = 0
-	h.probeOps = 0
-}
-
-// MissLatencyName maps a DataSource to the PMU counter name used by the
-// monitoring layer for miss accounting ("" for L1 hits, which miss nothing).
-func MissLatencyName(s DataSource) string {
-	switch s {
-	case SrcL2:
-		return "L1D_MISS"
-	case SrcL3:
-		return "L2_MISS"
-	case SrcDRAM, SrcDRAMRemote:
-		// A remote fill is still an L3 miss; the local/remote split has its
-		// own dedicated counter on the NUMA-routed stacks.
-		return "L3_MISS"
-	}
-	return ""
 }

@@ -241,24 +241,6 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := tiny(t, true)
-	h.Access(0, 8, true)
-	h.Access(64, 8, false)
-	h.Reset()
-	if h.DRAMAccesses() != 0 {
-		t.Error("Reset did not clear DRAM counter")
-	}
-	for i := 0; i < h.Levels(); i++ {
-		if h.LevelStats(i) != (LevelStats{}) {
-			t.Errorf("Reset left stats at level %d: %+v", i, h.LevelStats(i))
-		}
-	}
-	if r := h.Access(0, 8, false); r.Source != SrcDRAM {
-		t.Errorf("after Reset, access = %v, want DRAM (cold)", r.Source)
-	}
-}
-
 func TestWorkingSetFitsInLevel(t *testing.T) {
 	// A working set that fits L2 but not L1 must eventually be served
 	// entirely from L1/L2 with no DRAM traffic after warmup.
@@ -278,17 +260,6 @@ func TestWorkingSetFitsInLevel(t *testing.T) {
 	}
 	if h.DRAMAccesses() != before {
 		t.Error("DRAM counter moved on warm passes")
-	}
-}
-
-func TestMissLatencyName(t *testing.T) {
-	cases := map[DataSource]string{
-		SrcL1: "", SrcL2: "L1D_MISS", SrcL3: "L2_MISS", SrcDRAM: "L3_MISS",
-	}
-	for s, w := range cases {
-		if got := MissLatencyName(s); got != w {
-			t.Errorf("MissLatencyName(%v) = %q, want %q", s, got, w)
-		}
 	}
 }
 

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// runOps is the total number of operations a RunResult accounts for: one
+// per line-resolving probe plus the bulk same-line accesses.
+func runOps(rr *RunResult) uint64 {
+	n := rr.Bulk
+	for _, lines := range rr.Lines {
+		n += lines
+	}
+	return n
+}
+
 // TestAccessRunMatchesPerOp drives two identical hierarchies with the same
 // randomized access program — one through AccessRun line-run batches, one
 // through per-op Access calls — and requires identical statistics and
@@ -43,7 +53,7 @@ func TestAccessRunMatchesPerOp(t *testing.T) {
 		ops += n
 	}
 
-	if got := rr.Ops(); got != ops {
+	if got := runOps(&rr); got != ops {
 		t.Fatalf("RunResult accounts for %d ops, issued %d", got, ops)
 	}
 	// The per-op path cannot distinguish a line-resolving L1 hit from a
@@ -95,7 +105,7 @@ func TestAccessRunHeadOnMRULine(t *testing.T) {
 
 	rr = RunResult{}
 	h.AccessRun(0x1008, 8, 16, false, &rr) // 7 on the MRU line, 1 crossing, 8 bulk
-	if rr.Bulk != 14 || rr.Ops() != 16 {
-		t.Fatalf("crossing run: got bulk=%d ops=%d, want bulk=14 ops=16", rr.Bulk, rr.Ops())
+	if rr.Bulk != 14 || runOps(&rr) != 16 {
+		t.Fatalf("crossing run: got bulk=%d ops=%d, want bulk=14 ops=16", rr.Bulk, runOps(&rr))
 	}
 }

@@ -197,22 +197,3 @@ func (s *SharedCache) Stats() LevelStats {
 	}
 	return out
 }
-
-// Reset clears all cached state and counters. Callers must ensure no core
-// is concurrently accessing the cache through a Hierarchy.
-func (s *SharedCache) Reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		c := sh.c
-		clear(c.slab)
-		clear(c.occ)
-		clear(c.sigs)
-		clear(c.mats)
-		c.initTicks()
-		c.stats = LevelStats{}
-		c.tick = 0
-		c.mruValid = false
-		sh.mu.Unlock()
-	}
-}

@@ -370,9 +370,6 @@ type Router struct {
 	socket int
 }
 
-// Socket returns the owning socket index.
-func (r *Router) Socket() int { return r.socket }
-
 // RouteFill resolves the line's home node (placing the page on first
 // touch), records the fill at that node's controller, and reports whether
 // the fill is remote to the router's socket.

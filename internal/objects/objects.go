@@ -19,7 +19,6 @@ package objects
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/interval"
@@ -311,18 +310,6 @@ func (r *Registry) ResolutionRate() float64 {
 
 // Objects returns all registered objects in registration order.
 func (r *Registry) Objects() []*Object { return r.objs }
-
-// TopByRefs returns the n most referenced objects (all if n <= 0 or larger
-// than the table).
-func (r *Registry) TopByRefs(n int) []*Object {
-	out := make([]*Object, len(r.objs))
-	copy(out, r.objs)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Refs > out[j].Refs })
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
 
 // Label renders the paper-style object annotation "name|size MB".
 func (o *Object) Label() string {

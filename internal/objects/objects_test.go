@@ -189,24 +189,6 @@ func TestResolutionRateEmpty(t *testing.T) {
 	}
 }
 
-func TestTopByRefs(t *testing.T) {
-	r := NewRegistry(Config{})
-	r.OnAlloc(prog.AllocInfo{Addr: 0x1000, Size: 64, StackID: 1})
-	r.OnAlloc(prog.AllocInfo{Addr: 0x2000, Size: 64, StackID: 2})
-	r.OnAlloc(prog.AllocInfo{Addr: 0x3000, Size: 64, StackID: 3})
-	for i := 0; i < 5; i++ {
-		r.Record(0x2000, 1, false, memhier.SrcL1)
-	}
-	r.Record(0x3000, 1, false, memhier.SrcL1)
-	top := r.TopByRefs(2)
-	if len(top) != 2 || top[0].Range.Lo != 0x2000 || top[1].Range.Lo != 0x3000 {
-		t.Errorf("TopByRefs = %+v", top)
-	}
-	if all := r.TopByRefs(0); len(all) != 3 {
-		t.Errorf("TopByRefs(0) len = %d", len(all))
-	}
-}
-
 func TestDefaultNamer(t *testing.T) {
 	r := NewRegistry(Config{})
 	r.OnAlloc(prog.AllocInfo{Addr: 0x1000, Size: 64, StackID: 42})

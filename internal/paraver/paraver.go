@@ -1,8 +1,7 @@
 // Package paraver provides trace-analysis utilities in the spirit of the
 // Paraver browser: reconstructing region timelines (which instrumented
-// region was active when), extracting counter time series, computing
-// region profiles (time share, instance counts) and windowing a trace to a
-// time interval. The report layer uses these to present the raw
+// region was active when) and computing region profiles (time share,
+// instance counts). The report layer uses these to present the raw
 // (pre-folding) view of a run, and the folding pipeline uses the region
 // profile to pick the dominant foldable region.
 package paraver
@@ -115,84 +114,4 @@ func Profile(spans []Span) []ProfileRow {
 		return out[i].Region < out[j].Region
 	})
 	return out
-}
-
-// CounterPoint is one (time, value) observation of a counter.
-type CounterPoint struct {
-	TimeNs uint64
-	Value  int64
-}
-
-// CounterSeries extracts the time series of one counter type from the
-// record stream (records lacking the type are skipped).
-func CounterSeries(records []trace.Record, task, thread int, typ uint32) []CounterPoint {
-	var out []CounterPoint
-	for i := range records {
-		rec := &records[i]
-		if rec.Task != task || rec.Thread != thread {
-			continue
-		}
-		if v, ok := rec.Get(typ); ok {
-			out = append(out, CounterPoint{TimeNs: rec.TimeNs, Value: v})
-		}
-	}
-	return out
-}
-
-// RatePoint is an interval rate derived from a cumulative counter.
-type RatePoint struct {
-	TimeNs uint64 // interval midpoint
-	Rate   float64
-}
-
-// Rates differentiates a cumulative counter series into interval rates in
-// events/second. Non-monotone steps (multiplexing estimates can regress
-// slightly) are clamped to zero.
-func Rates(series []CounterPoint) []RatePoint {
-	if len(series) < 2 {
-		return nil
-	}
-	out := make([]RatePoint, 0, len(series)-1)
-	for i := 1; i < len(series); i++ {
-		dt := float64(series[i].TimeNs-series[i-1].TimeNs) / 1e9
-		if dt <= 0 {
-			continue
-		}
-		dv := float64(series[i].Value - series[i-1].Value)
-		if dv < 0 {
-			dv = 0
-		}
-		out = append(out, RatePoint{
-			TimeNs: (series[i].TimeNs + series[i-1].TimeNs) / 2,
-			Rate:   dv / dt,
-		})
-	}
-	return out
-}
-
-// Window returns the records with TimeNs in [t0, t1), preserving order.
-func Window(records []trace.Record, t0, t1 uint64) []trace.Record {
-	var out []trace.Record
-	for _, r := range records {
-		if r.TimeNs >= t0 && r.TimeNs < t1 {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SpanOf returns the span of region covering time t, preferring the deepest
-// (innermost) match.
-func SpanOf(spans []Span, t uint64) (Span, bool) {
-	var best Span
-	found := false
-	for _, s := range spans {
-		if t >= s.T0 && t < s.T1 {
-			if !found || s.Depth > best.Depth {
-				best = s
-				found = true
-			}
-		}
-	}
-	return best, found
 }

@@ -100,66 +100,3 @@ func TestProfile(t *testing.T) {
 		t.Errorf("row1 = %+v", prof[1])
 	}
 }
-
-func TestCounterSeriesAndRates(t *testing.T) {
-	typ := trace.TypeCounterBase + 0
-	recs := []trace.Record{
-		counterRec(0, typ, 0),
-		counterRec(1_000_000, typ, 1_000_000), // 1e6 events in 1 ms = 1e9/s
-		counterRec(2_000_000, typ, 1_500_000),
-		regionRec(3_000_000, 1), // no counter: skipped
-	}
-	series := CounterSeries(recs, 1, 1, typ)
-	if len(series) != 3 {
-		t.Fatalf("series = %+v", series)
-	}
-	rates := Rates(series)
-	if len(rates) != 2 {
-		t.Fatalf("rates = %+v", rates)
-	}
-	if rates[0].Rate != 1e9 {
-		t.Errorf("rate0 = %g", rates[0].Rate)
-	}
-	if rates[0].TimeNs != 500_000 {
-		t.Errorf("rate0 midpoint = %d", rates[0].TimeNs)
-	}
-	if rates[1].Rate != 5e8 {
-		t.Errorf("rate1 = %g", rates[1].Rate)
-	}
-	// Degenerate and clamped cases.
-	if Rates(series[:1]) != nil {
-		t.Error("short series should give nil")
-	}
-	neg := []CounterPoint{{0, 100}, {1000, 50}}
-	if r := Rates(neg); r[0].Rate != 0 {
-		t.Errorf("negative delta not clamped: %+v", r)
-	}
-}
-
-func TestWindow(t *testing.T) {
-	recs := []trace.Record{
-		counterRec(5, 1, 1), counterRec(15, 1, 2), counterRec(25, 1, 3),
-	}
-	w := Window(recs, 10, 25)
-	if len(w) != 1 || w[0].TimeNs != 15 {
-		t.Errorf("window = %+v", w)
-	}
-}
-
-func TestSpanOf(t *testing.T) {
-	spans := []Span{
-		{Region: 1, T0: 0, T1: 100, Depth: 0},
-		{Region: 2, T0: 10, T1: 50, Depth: 1},
-	}
-	s, ok := SpanOf(spans, 20)
-	if !ok || s.Region != 2 {
-		t.Errorf("SpanOf(20) = %+v (want innermost)", s)
-	}
-	s, ok = SpanOf(spans, 60)
-	if !ok || s.Region != 1 {
-		t.Errorf("SpanOf(60) = %+v", s)
-	}
-	if _, ok := SpanOf(spans, 200); ok {
-		t.Error("SpanOf(200) matched")
-	}
-}

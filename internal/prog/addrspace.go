@@ -9,7 +9,6 @@ package prog
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Alignment of all allocations, matching glibc malloc's 16-byte alignment.
@@ -47,15 +46,10 @@ var (
 // traces reproducible; an ASLR-style randomized base can be requested by the
 // monitoring layer to demonstrate why cross-run address comparison fails.
 type AddressSpace struct {
-	base  uint64
 	brk   uint64 // next never-used address
 	live  map[uint64]AllocInfo
 	frees map[uint64][]uint64 // rounded size -> freed addrs (LIFO)
 	hooks Hooks
-
-	liveBytes  uint64
-	peakBytes  uint64
-	allocCount uint64
 }
 
 // NewAddressSpace creates a heap whose first allocation lands at base
@@ -63,7 +57,6 @@ type AddressSpace struct {
 func NewAddressSpace(base uint64) *AddressSpace {
 	base = (base + allocAlign - 1) &^ uint64(allocAlign-1)
 	return &AddressSpace{
-		base:  base,
 		brk:   base,
 		live:  make(map[uint64]AllocInfo),
 		frees: make(map[uint64][]uint64),
@@ -72,21 +65,6 @@ func NewAddressSpace(base uint64) *AddressSpace {
 
 // SetHooks installs allocator event hooks (pass zero-value Hooks to clear).
 func (as *AddressSpace) SetHooks(h Hooks) { as.hooks = h }
-
-// Base returns the lowest heap address.
-func (as *AddressSpace) Base() uint64 { return as.base }
-
-// Brk returns the high-water mark: the first address never handed out.
-func (as *AddressSpace) Brk() uint64 { return as.brk }
-
-// LiveBytes returns the sum of sizes of live allocations.
-func (as *AddressSpace) LiveBytes() uint64 { return as.liveBytes }
-
-// PeakBytes returns the maximum LiveBytes observed.
-func (as *AddressSpace) PeakBytes() uint64 { return as.peakBytes }
-
-// AllocCount returns the total number of allocations performed.
-func (as *AddressSpace) AllocCount() uint64 { return as.allocCount }
 
 func roundSize(size uint64) uint64 {
 	return (size + allocAlign - 1) &^ uint64(allocAlign-1)
@@ -109,11 +87,6 @@ func (as *AddressSpace) Alloc(size uint64, stackID uint32) (uint64, error) {
 	}
 	info := AllocInfo{Addr: addr, Size: size, StackID: stackID}
 	as.live[addr] = info
-	as.liveBytes += size
-	if as.liveBytes > as.peakBytes {
-		as.peakBytes = as.liveBytes
-	}
-	as.allocCount++
 	if as.hooks.OnAlloc != nil {
 		as.hooks.OnAlloc(info)
 	}
@@ -130,7 +103,6 @@ func (as *AddressSpace) Free(addr uint64) error {
 		as.hooks.OnFree(info)
 	}
 	delete(as.live, addr)
-	as.liveBytes -= info.Size
 	rs := roundSize(info.Size)
 	as.frees[rs] = append(as.frees[rs], addr)
 	return nil
@@ -155,10 +127,6 @@ func (as *AddressSpace) Realloc(addr, newSize uint64, stackID uint32) (uint64, e
 		if as.hooks.OnFree != nil {
 			as.hooks.OnFree(info)
 		}
-		as.liveBytes += newSize - info.Size
-		if as.liveBytes > as.peakBytes {
-			as.peakBytes = as.liveBytes
-		}
 		ni := AllocInfo{Addr: addr, Size: newSize, StackID: stackID}
 		as.live[addr] = ni
 		if as.hooks.OnAlloc != nil {
@@ -170,28 +138,4 @@ func (as *AddressSpace) Realloc(addr, newSize uint64, stackID uint32) (uint64, e
 		return 0, err
 	}
 	return as.Alloc(newSize, stackID)
-}
-
-// Live returns the live allocations sorted by address. Intended for the
-// object registry's initial scan and for tests.
-func (as *AddressSpace) Live() []AllocInfo {
-	out := make([]AllocInfo, 0, len(as.live))
-	for _, info := range as.live {
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// Owns reports whether addr falls inside any live allocation, returning it.
-func (as *AddressSpace) Owns(addr uint64) (AllocInfo, bool) {
-	// Linear probe over map would be O(n); keep a sorted cache? The object
-	// registry maintains its own interval tree, so this method is only used
-	// in tests and for debugging; a scan is acceptable.
-	for _, info := range as.live {
-		if addr >= info.Addr && addr < info.Addr+info.Size {
-			return info, true
-		}
-	}
-	return AllocInfo{}, false
 }

@@ -110,9 +110,6 @@ func (b *Binary) Function(name string) (*Function, bool) {
 	return f, ok
 }
 
-// Functions returns all registered functions in registration order.
-func (b *Binary) Functions() []*Function { return b.funcs }
-
 // AddStaticData reserves a static data symbol of the given size and returns
 // it. Static objects are identified by name, as in the paper.
 func (b *Binary) AddStaticData(name string, size uint64) (StaticObject, error) {

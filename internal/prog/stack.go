@@ -25,17 +25,6 @@ func (cs *CallStack) Pop() {
 	cs.frames = cs.frames[:len(cs.frames)-1]
 }
 
-// Depth returns the number of active frames.
-func (cs *CallStack) Depth() int { return len(cs.frames) }
-
-// Top returns the innermost frame IP (0 when empty).
-func (cs *CallStack) Top() uint64 {
-	if len(cs.frames) == 0 {
-		return 0
-	}
-	return cs.frames[len(cs.frames)-1]
-}
-
 // Snapshot returns a copy of the frames, outermost first.
 func (cs *CallStack) Snapshot() []uint64 {
 	out := make([]uint64, len(cs.frames))
@@ -136,25 +125,6 @@ func (st *StackTable) RestoreStacks(stacks [][]uint64) error {
 	st.ids = ids
 	st.stacks = chains
 	return nil
-}
-
-// Format renders the stack id as a human-readable chain using the binary's
-// line tables, innermost frame last, e.g.
-// "main (hpcg.cpp:42) > GenerateProblem (GenerateProblem_ref.cpp:108)".
-func (st *StackTable) Format(id uint32, b *Binary) string {
-	frames := st.Frames(id)
-	if len(frames) == 0 {
-		return "<empty>"
-	}
-	parts := make([]string, 0, len(frames))
-	for _, ip := range frames {
-		if loc, ok := b.Lookup(ip); ok {
-			parts = append(parts, loc.String())
-		} else {
-			parts = append(parts, fmt.Sprintf("%#x", ip))
-		}
-	}
-	return strings.Join(parts, " > ")
 }
 
 // SiteName renders the innermost frame of the stack as the short allocation

@@ -15,16 +15,26 @@ func remoteFills(m *Metrics) (total, remote uint64) {
 	return total, remote
 }
 
+// runNamed runs a registered scenario.
+func runNamed(t *testing.T, name string, opts Options) (*Metrics, error) {
+	t.Helper()
+	sc, ok := Get(name)
+	if !ok {
+		t.Fatalf("scenario %q not registered", name)
+	}
+	return Run(sc, opts)
+}
+
 // TestNUMAPolicyAxisLive pins the acceptance criterion of the NUMA
 // subsystem directly: the first-touch and interleave STREAM scenarios
 // differ in remote-DRAM fill counts — the placement policy is observable
 // end to end (hierarchy → PMU → metrics), not just a config knob.
 func TestNUMAPolicyAxisLive(t *testing.T) {
-	ft, err := RunByName("stream_numa_ft_2s4t", Options{})
+	ft, err := runNamed(t, "stream_numa_ft_2s4t", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := RunByName("stream_numa_il_2s4t", Options{})
+	il, err := runNamed(t, "stream_numa_il_2s4t", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +75,11 @@ func TestNUMAPolicyAxisLive(t *testing.T) {
 // first-touch homes every page on the generating socket (zero remote),
 // interleave pushes roughly half the fills across the interconnect.
 func TestNUMAHPCGFirstTouchVsInterleave(t *testing.T) {
-	ft, err := RunByName("hpcg_numa_ft_2s1t", Options{})
+	ft, err := runNamed(t, "hpcg_numa_ft_2s1t", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	il, err := RunByName("hpcg_numa_il_2s1t", Options{})
+	il, err := runNamed(t, "hpcg_numa_il_2s1t", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +102,7 @@ func TestNUMAHPCGFirstTouchVsInterleave(t *testing.T) {
 // path: a flat scenario forced onto 2 interleaved sockets reports a NUMA
 // section and remote fills.
 func TestNUMASocketsOverride(t *testing.T) {
-	m, err := RunByName("stream_triad_4t", Options{Sockets: 2, Placement: "interleave"})
+	m, err := runNamed(t, "stream_triad_4t", Options{Sockets: 2, Placement: "interleave"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestNUMASocketsOverride(t *testing.T) {
 		t.Error("interleaved override produced no remote fills")
 	}
 	// A bare placement override on a flat scenario is inert and rejected.
-	if _, err := RunByName("stream_triad_4t", Options{Placement: "interleave"}); err == nil {
+	if _, err := runNamed(t, "stream_triad_4t", Options{Placement: "interleave"}); err == nil {
 		t.Error("placement override without a NUMA topology accepted")
 	}
 }

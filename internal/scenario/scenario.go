@@ -134,11 +134,6 @@ func HierarchyConfig(name string) (memhier.Config, error) {
 	return sp.Memhier(), nil
 }
 
-// Config assembles the core configuration for a run of the scenario.
-func (sc Scenario) Config(reference bool) (core.Config, error) {
-	return sc.configWith(reference, nil)
-}
-
 // configWith assembles the core configuration, resolving the machine from
 // the spec when one is given (the scenario's named hierarchy otherwise).
 // The caller has already folded the spec's topology into sc.Sockets /
@@ -463,13 +458,4 @@ func cgMetrics(cg *hpcg.CGResult) *CGMetrics {
 		FinalError:    cg.FinalError,
 		FinalResidual: cg.Residuals[len(cg.Residuals)-1],
 	}
-}
-
-// RunByName resolves and runs a registered scenario.
-func RunByName(name string, opts Options) (*Metrics, error) {
-	sc, ok := Get(name)
-	if !ok {
-		return nil, fmt.Errorf("scenario: unknown scenario %q (run -list for the registry)", name)
-	}
-	return Run(sc, opts)
 }

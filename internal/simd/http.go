@@ -21,7 +21,6 @@ const maxRequestBody = 1 << 20
 //	GET  /v1/jobs/{key}       job status envelope
 //	GET  /v1/jobs/{key}/result canonical metrics bytes, exactly as stored
 //	GET  /v1/jobs/{key}/events server-sent status events until terminal
-//	GET  /v1/stats            server counters
 //	GET  /metrics             Prometheus text exposition (v0.0.4)
 //	GET  /healthz             200 serving / 503 draining
 //
@@ -37,7 +36,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{key}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{key}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{key}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	if s.cfg.EnablePprof {
@@ -230,10 +228,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 // handleMetrics serves the Prometheus text exposition. The scrape snapshots

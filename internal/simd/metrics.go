@@ -6,10 +6,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// serverMetrics is the server's instrument panel: every counter the old
-// ad-hoc stats struct carried, re-homed onto the telemetry registry so one
-// set of atomics backs both the legacy /v1/stats JSON and the Prometheus
-// /metrics exposition. Queue depth, running count and drain state are
+// serverMetrics is the server's instrument panel: every server counter on
+// the telemetry registry, so one set of atomics backs both Server.Stats and
+// the Prometheus /metrics exposition. Queue depth, running count and drain state are
 // GaugeFuncs — they live under s.mu and are read only when a scrape asks.
 type serverMetrics struct {
 	reg *telemetry.Registry

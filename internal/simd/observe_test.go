@@ -246,8 +246,8 @@ func TestOutcomeLoggedBeforeDone(t *testing.T) {
 	}
 }
 
-// TestConcurrentScrapeDuringDrain hammers every read-side endpoint —
-// /v1/stats, /metrics, and the /v1/jobs/{key}/events stream — while a drain
+// TestConcurrentScrapeDuringDrain hammers every read side — Server.Stats,
+// /metrics, and the /v1/jobs/{key}/events stream — while a drain
 // checkpoints a running job and parks a queued one. Run under -race this
 // pins that observation never races with the state machine, and that every
 // mid-drain exposition still parses.
@@ -303,18 +303,7 @@ func TestConcurrentScrapeDuringDrain(t *testing.T) {
 				return
 			default:
 			}
-			resp, err := http.Get(ts.URL + "/v1/stats")
-			if err != nil {
-				return
-			}
-			var st Stats
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				select {
-				case scrapeErr <- err:
-				default:
-				}
-			}
-			resp.Body.Close()
+			_ = s.Stats()
 		}
 	}()
 
@@ -384,5 +373,66 @@ func TestConcurrentScrapeDuringDrain(t *testing.T) {
 	}
 	if got := metricValue(t, fams, "simd_checkpoint_write_seconds", "simd_checkpoint_write_seconds_count", ""); got < 1 {
 		t.Errorf("checkpoint write count = %g, want >= 1", got)
+	}
+}
+
+// doneLineLock is a slog handler that takes the server lock when a job logs
+// "job done", just before the job records its outcome, and hands the held
+// lock to the test through held.
+type doneLineLock struct {
+	s    *Server
+	held chan struct{}
+}
+
+func (h *doneLineLock) Enabled(context.Context, slog.Level) bool { return true }
+func (h *doneLineLock) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *doneLineLock) WithGroup(string) slog.Handler            { return h }
+
+func (h *doneLineLock) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "job done" {
+		h.s.mu.Lock()
+		h.held <- struct{}{}
+	}
+	return nil
+}
+
+// TestRunningClearedBeforeClientRelease pins the order of a finished job's
+// last two steps: it leaves the running set before done releases its
+// waiting client. While the test holds the server lock the job cannot
+// leave the running set, so its wait=1 client must stay blocked; the
+// bounded wait only decides a pass, since a release inside it is the
+// defect. Once released, both views of the running count — Stats and the
+// simd_jobs_running gauge — must read 0 at once, with no polling.
+func TestRunningClearedBeforeClientRelease(t *testing.T) {
+	probe := &doneLineLock{held: make(chan struct{})}
+	s, ts := newTestServer(t, Config{Logger: slog.New(probe)})
+	probe.s = s
+	c := &Client{BaseURL: ts.URL}
+
+	for k := 0; k < 3; k++ {
+		released := make(chan error, 1)
+		//repro:spawn-ok test goroutine; every path below receives from released
+		go func() {
+			// A fresh sampling seed per submission: every one is simulated.
+			_, err := c.Run(context.Background(), Request{Scenario: "simd_test_fast", Sampling: samplingSeed(int64(100 + k))})
+			released <- err
+		}()
+		<-probe.held
+		select {
+		case err := <-released:
+			s.mu.Unlock()
+			t.Fatalf("submission %d: client released (err %v) while its job still counted as running", k, err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		s.mu.Unlock()
+		if err := <-released; err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Running != 0 {
+			t.Fatalf("submission %d: Stats().Running = %d after its client was released", k, st.Running)
+		}
+		if got := metricValue(t, scrapeMetrics(t, ts.URL), "simd_jobs_running", "simd_jobs_running", ""); got != 0 {
+			t.Fatalf("submission %d: simd_jobs_running = %g after its client was released", k, got)
+		}
 	}
 }

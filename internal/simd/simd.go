@@ -178,20 +178,20 @@ type Config struct {
 
 // Stats is a point-in-time view of the server counters.
 type Stats struct {
-	Running   int    `json:"running"`
-	Queued    int    `json:"queued"`
-	Draining  bool   `json:"draining"`
-	Accepted  uint64 `json:"accepted"`
-	Coalesced uint64 `json:"coalesced"`
-	CacheHits uint64 `json:"cache_hits"`
-	Shed      uint64 `json:"shed"`
-	Rejected  uint64 `json:"rejected"`
-	Simulated uint64 `json:"simulated"`
-	Partial   uint64 `json:"partial"`
-	Failed    uint64 `json:"failed"`
-	Panics    uint64 `json:"panics"`
-	Parked    uint64 `json:"parked"`
-	Resumed   uint64 `json:"resumed"`
+	Running   int
+	Queued    int
+	Draining  bool
+	Accepted  uint64
+	Coalesced uint64
+	CacheHits uint64
+	Shed      uint64
+	Rejected  uint64
+	Simulated uint64
+	Partial   uint64
+	Failed    uint64
+	Panics    uint64
+	Parked    uint64
+	Resumed   uint64
 }
 
 // flight is one admitted job: the single execution every coalesced request
@@ -630,13 +630,9 @@ func (s *Server) runFlight(f *flight) {
 			s.met.panics.Inc()
 			s.met.failed.Inc()
 			s.log.Error("job panicked", "key", f.key, "scenario", f.sc.Name, "panic", fmt.Sprint(rec))
-			f.finish(StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
+			s.finishRunning(f, StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
 		}
 		s.mu.Lock()
-		delete(s.running, f)
-		if f.terminal() {
-			s.rememberLocked(f)
-		}
 		s.dispatchLocked()
 		s.mu.Unlock()
 	}()
@@ -646,7 +642,7 @@ func (s *Server) runFlight(f *flight) {
 	}
 	if err := faultinject.Hit(faultinject.PointServerRun); err != nil {
 		s.met.failed.Inc()
-		f.finish(StateFailed, nil, err)
+		s.finishRunning(f, StateFailed, nil, err)
 		return
 	}
 
@@ -701,7 +697,7 @@ func (s *Server) runFlight(f *flight) {
 		b, jerr := m.JSON()
 		if jerr != nil {
 			s.met.failed.Inc()
-			f.finish(StateFailed, nil, jerr)
+			s.finishRunning(f, StateFailed, nil, jerr)
 			return
 		}
 		s.cachePut(f.key, b)
@@ -713,21 +709,21 @@ func (s *Server) runFlight(f *flight) {
 		s.met.done.Inc()
 		s.log.Info("job done", "key", f.key, "scenario", f.sc.Name,
 			"elapsed", elapsed, "instances", f.progress.Snapshot().InstancesDone)
-		f.finish(StateDone, b, nil)
+		s.finishRunning(f, StateDone, b, nil)
 
 	case errors.Is(err, core.ErrCheckpointDemanded):
 		// Drain checkpoint taken at an instance boundary; park the request
 		// so a restarted server resumes it.
 		if perr := s.park(f); perr != nil {
 			s.met.failed.Inc()
-			f.finish(StateFailed, nil, fmt.Errorf("simd: parking drained job: %w", perr))
+			s.finishRunning(f, StateFailed, nil, fmt.Errorf("simd: parking drained job: %w", perr))
 			return
 		}
 		s.met.parked.Inc()
 		s.met.checkpointed.Inc()
 		s.log.Info("job checkpointed", "key", f.key, "scenario", f.sc.Name,
 			"instances", f.progress.Snapshot().InstancesDone)
-		f.finish(StateCheckpointed, nil, err)
+		s.finishRunning(f, StateCheckpointed, nil, err)
 
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainCancelled):
 		// Hard drain stop before the run reached an instance boundary (or
@@ -738,26 +734,38 @@ func (s *Server) runFlight(f *flight) {
 				s.met.parked.Inc()
 				s.met.checkpointed.Inc()
 				s.log.Info("job parked", "key", f.key, "scenario", f.sc.Name, "reason", "drain deadline")
-				f.finish(StateCheckpointed, nil, err)
+				s.finishRunning(f, StateCheckpointed, nil, err)
 				return
 			}
 		}
 		s.met.partial.Inc()
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
-		f.finish(StatePartial, partialBytes(m), err)
+		s.finishRunning(f, StatePartial, partialBytes(m), err)
 
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline (or a client cancel): partial metrics,
 		// clearly marked, exactly like simrun -timeout.
 		s.met.partial.Inc()
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
-		f.finish(StatePartial, partialBytes(m), err)
+		s.finishRunning(f, StatePartial, partialBytes(m), err)
 
 	default:
 		s.met.failed.Inc()
 		s.log.Error("job failed", "key", f.key, "scenario", f.sc.Name, "err", err)
-		f.finish(StateFailed, nil, err)
+		s.finishRunning(f, StateFailed, nil, err)
 	}
+}
+
+// finishRunning records a running flight's terminal outcome. The flight
+// leaves the running set, and is remembered, before finish closes done:
+// done releases every waiting client, and what a released client observes
+// next (Stats, the simd_jobs_running gauge) must no longer count the job.
+func (s *Server) finishRunning(f *flight, state string, metrics []byte, err error) {
+	s.mu.Lock()
+	delete(s.running, f)
+	s.rememberLocked(f)
+	s.mu.Unlock()
+	f.finish(state, metrics, err)
 }
 
 // partialBytes serializes partial-marked metrics (nil when the run died

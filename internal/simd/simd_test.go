@@ -99,15 +99,25 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// runScenario runs a registered scenario in-process.
+func runScenario(t *testing.T, name string, opts scenario.Options) *scenario.Metrics {
+	t.Helper()
+	sc, ok := scenario.Get(name)
+	if !ok {
+		t.Fatalf("scenario %q not registered", name)
+	}
+	m, err := scenario.Run(sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // localBytes runs the scenario in-process — the reference every server
 // result must match byte for byte.
 func localBytes(t *testing.T, name string) []byte {
 	t.Helper()
-	m, err := scenario.RunByName(name, scenario.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.JSON()
+	b, err := runScenario(t, name, scenario.Options{}).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,17 +603,8 @@ func TestHealthAndStatsEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("healthz while draining = %s, want 503", resp.Status)
 	}
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Draining {
-		t.Error("stats do not report draining")
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "simd_draining", "simd_draining", ""); got != 1 {
+		t.Errorf("simd_draining = %g while draining, want 1", got)
 	}
 }
 

@@ -34,11 +34,7 @@ func TestConcurrentSoak(t *testing.T) {
 	const distinctKeys = 4
 	want := make(map[int][]byte, distinctKeys)
 	for k := 0; k < distinctKeys; k++ {
-		m, err := scenario.RunByName("simd_test_fast", scenario.Options{Sampling: samplingSeed(int64(k))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := m.JSON()
+		b, err := runScenario(t, "simd_test_fast", scenario.Options{Sampling: samplingSeed(int64(k))}).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,17 +110,6 @@ func (k Kernel) support() float64 {
 	return 1
 }
 
-// Fit evaluates the regression of ys on xs at each grid point. xs need not
-// be sorted and grid may be in any order. The returned slice is aligned with
-// grid. It is FitMany with a single y vector.
-func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
-	fits, err := s.FitMany(xs, [][]float64{ys}, grid)
-	if err != nil {
-		return nil, err
-	}
-	return fits[0], nil
-}
-
 // FitMany evaluates the regression of every y vector of yss on the shared
 // xs at each grid point, returning one curve per y vector, each aligned with
 // grid. Each curve is bit-identical to what a separate regression of that y
@@ -334,21 +323,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

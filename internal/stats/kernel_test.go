@@ -36,6 +36,15 @@ func TestKernelWeights(t *testing.T) {
 	}
 }
 
+// fitOne regresses a single y vector through FitMany.
+func fitOne(s Smoother, xs, ys, grid []float64) ([]float64, error) {
+	fits, err := s.FitMany(xs, [][]float64{ys}, grid)
+	if err != nil {
+		return nil, err
+	}
+	return fits[0], nil
+}
+
 func TestSmootherRecoversLinear(t *testing.T) {
 	// Kernel regression of a noiseless linear function should reproduce it
 	// away from the edges; with boundary reflection it is good everywhere.
@@ -48,7 +57,7 @@ func TestSmootherRecoversLinear(t *testing.T) {
 	}
 	grid := UniformGrid(0, 1, 51)
 	sm := Smoother{Bandwidth: 0.03, Lo: 0, Hi: 1}
-	fit, err := sm.Fit(xs, ys, grid)
+	fit, err := fitOne(sm, xs, ys, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestSmootherRecoversLinear(t *testing.T) {
 	}
 }
 
-// TestSmootherGaussianFarGrid pins the windowed Fit's behaviour for grid
+// TestSmootherGaussianFarGrid pins the windowed regression's behaviour for grid
 // points farther than the 8-bandwidth support from every sample: the
 // Gaussian (unbounded) must still return a finite value — the nearest
 // sample's — never NaN, because folding feeds the result into Isotonic
@@ -69,7 +78,7 @@ func TestSmootherGaussianFarGrid(t *testing.T) {
 	xs := []float64{0.49, 0.50, 0.51}
 	ys := []float64{3, 3, 3}
 	grid := UniformGrid(0, 1, 11) // points up to ~25 bandwidths away
-	fit, err := Smoother{Bandwidth: 0.02}.Fit(xs, ys, grid)
+	fit, err := fitOne(Smoother{Bandwidth: 0.02}, xs, ys, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +94,17 @@ func TestSmootherGaussianFarGrid(t *testing.T) {
 
 func TestSmootherErrors(t *testing.T) {
 	var sm Smoother
-	if _, err := sm.Fit(nil, nil, UniformGrid(0, 1, 3)); err != ErrNoSamples {
+	if _, err := fitOne(sm, nil, nil, UniformGrid(0, 1, 3)); err != ErrNoSamples {
 		t.Errorf("no samples: err = %v", err)
 	}
-	if _, err := sm.Fit([]float64{1}, []float64{1, 2}, UniformGrid(0, 1, 3)); err != ErrLengths {
+	if _, err := fitOne(sm, []float64{1}, []float64{1, 2}, UniformGrid(0, 1, 3)); err != ErrLengths {
 		t.Errorf("length mismatch: err = %v", err)
 	}
-	if _, err := sm.Fit([]float64{1}, []float64{1}, []float64{0}); err != ErrBadGrid {
+	if _, err := fitOne(sm, []float64{1}, []float64{1}, []float64{0}); err != ErrBadGrid {
 		t.Errorf("bad grid: err = %v", err)
 	}
 	sm.Bandwidth = -1
-	if _, err := sm.Fit([]float64{1, 2}, []float64{1, 2}, UniformGrid(0, 1, 3)); err != ErrBadBandwidth {
+	if _, err := fitOne(sm, []float64{1, 2}, []float64{1, 2}, UniformGrid(0, 1, 3)); err != ErrBadBandwidth {
 		t.Errorf("negative bandwidth: err = %v", err)
 	}
 }
@@ -109,7 +118,7 @@ func TestSmootherDefaultBandwidth(t *testing.T) {
 		ys[i] = 5.0
 	}
 	sm := Smoother{} // bandwidth derived via Silverman
-	fit, err := sm.Fit(xs, ys, UniformGrid(0, 1, 11))
+	fit, err := fitOne(sm, xs, ys, UniformGrid(0, 1, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,9 +227,6 @@ func TestMeanVarianceQuantile(t *testing.T) {
 	if m := Mean(xs); m != 3 {
 		t.Errorf("Mean = %g", m)
 	}
-	if v := Variance(xs); math.Abs(v-2.5) > 1e-12 {
-		t.Errorf("Variance = %g, want 2.5", v)
-	}
 	if q := Quantile(xs, 0.5); q != 3 {
 		t.Errorf("median = %g", q)
 	}
@@ -236,8 +242,8 @@ func TestMeanVarianceQuantile(t *testing.T) {
 	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Error("Quantile(nil) should be NaN")
 	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate Mean/Variance")
+	if Mean(nil) != 0 {
+		t.Error("degenerate Mean")
 	}
 }
 
@@ -394,14 +400,14 @@ func TestFitManyMatchesReference(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							one, err := sm.Fit(xs, ys, grid)
+							one, err := fitOne(sm, xs, ys, grid)
 							if err != nil {
 								t.Fatal(err)
 							}
 							for i := range grid {
 								if math.Float64bits(fits[c][i]) != math.Float64bits(want[i]) ||
 									math.Float64bits(one[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("trial %d %+v grid %s curve %d: FitMany(%g) = %v, Fit %v, reference %v",
+									t.Fatalf("trial %d %+v grid %s curve %d: FitMany(%g) = %v, one vector %v, reference %v",
 										trial, sm, name, c, grid[i], fits[c][i], one[i], want[i])
 								}
 							}

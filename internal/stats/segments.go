@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Segment is a maximal run of the folded time axis over which a signal is
 // approximately constant. The Folding report uses segments of the
@@ -87,104 +84,4 @@ func MergeShortSegments(segs []Segment, minWidth float64) []Segment {
 		out = out[1:]
 	}
 	return out
-}
-
-// Histogram is a fixed-width bucketed histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []uint64
-	Under   uint64 // samples below Lo
-	Over    uint64 // samples at or above Hi
-	Samples uint64
-}
-
-// NewHistogram creates a histogram with n buckets covering [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.Samples++
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Bucket returns the [lo, hi) bounds of bucket i.
-func (h *Histogram) Bucket(i int) (lo, hi float64) {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
-}
-
-// Mode returns the index of the most populated bucket (-1 when empty).
-func (h *Histogram) Mode() int {
-	best, idx := uint64(0), -1
-	for i, c := range h.Counts {
-		if c > best {
-			best, idx = c, i
-		}
-	}
-	return idx
-}
-
-// CDFQuantile returns the approximate q-quantile from bucket midpoints.
-func (h *Histogram) CDFQuantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			lo, hi := h.Bucket(i)
-			return (lo + hi) / 2
-		}
-	}
-	lo, hi := h.Bucket(len(h.Counts) - 1)
-	return (lo + hi) / 2
-}
-
-// WeightedMedian returns the value m minimizing sum(w_i * |x_i - m|): the
-// weighted median of the (value, weight) pairs. Pairs need not be sorted.
-func WeightedMedian(xs, ws []float64) float64 {
-	if len(xs) == 0 || len(xs) != len(ws) {
-		return math.NaN()
-	}
-	type pair struct{ x, w float64 }
-	ps := make([]pair, len(xs))
-	var tot float64
-	for i := range xs {
-		ps[i] = pair{xs[i], ws[i]}
-		tot += ws[i]
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
-	var cum float64
-	for _, p := range ps {
-		cum += p.w
-		if cum >= tot/2 {
-			return p.x
-		}
-	}
-	return ps[len(ps)-1].x
 }

@@ -91,70 +91,6 @@ func TestMergeShortSegments(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Errorf("bucket %d = %d, want 10", i, c)
-		}
-	}
-	h.Add(-1)
-	h.Add(10)
-	h.Add(11)
-	if h.Under != 1 || h.Over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Samples != 103 {
-		t.Errorf("samples = %d", h.Samples)
-	}
-	lo, hi := h.Bucket(3)
-	if lo != 3 || hi != 4 {
-		t.Errorf("Bucket(3) = [%g,%g)", lo, hi)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if h.Mode() != -1 {
-		t.Error("empty histogram mode should be -1")
-	}
-	h.Add(1)
-	h.Add(5)
-	h.Add(5.5)
-	if h.Mode() != 2 {
-		t.Errorf("Mode = %d, want 2", h.Mode())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i))
-	}
-	med := h.CDFQuantile(0.5)
-	if med < 45 || med > 55 {
-		t.Errorf("median = %g, want ~50", med)
-	}
-	empty := NewHistogram(0, 1, 4)
-	if !math.IsNaN(empty.CDFQuantile(0.5)) {
-		t.Error("empty quantile should be NaN")
-	}
-}
-
-func TestWeightedMedian(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ws := []float64{1, 1, 10}
-	if m := WeightedMedian(xs, ws); m != 3 {
-		t.Errorf("weighted median = %g, want 3", m)
-	}
-	if !math.IsNaN(WeightedMedian(nil, nil)) {
-		t.Error("empty should be NaN")
-	}
-}
-
 func TestPropertySegmentsTile(t *testing.T) {
 	// Segments always tile [xs[0], xs[n-1]] contiguously.
 	f := func(seed int64) bool {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sync/atomic"
 
 	"repro/internal/atomicio"
 )
@@ -22,12 +21,8 @@ import (
 // corrupt file costs a re-simulation, never the point. Multiple processes
 // may share one cache directory: rename is atomic, so readers observe
 // either the old complete entry or the new complete entry, never a tear.
-// The zero-value counters make hit and eviction accounting testable.
 type Cache struct {
-	dir     string
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	evicted atomic.Uint64
+	dir string
 	// Notice, when non-nil, receives one call per evicted corrupt entry.
 	// Set it before the cache is shared between goroutines.
 	Notice func(key string, err error)
@@ -53,7 +48,7 @@ func (c *Cache) path(key string) (string, error) {
 }
 
 // Get returns the cached metrics bytes for key, or ok=false on a miss. A
-// corrupt or truncated entry is evicted and counted as a miss: serving torn
+// corrupt or truncated entry is evicted and reported as a miss: serving torn
 // bytes as a simulation result would be worse than re-simulating the point.
 func (c *Cache) Get(key string) ([]byte, bool, error) {
 	p, err := c.path(key)
@@ -62,7 +57,6 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 	}
 	b, err := os.ReadFile(p)
 	if os.IsNotExist(err) {
-		c.misses.Add(1)
 		return nil, false, nil
 	}
 	if err != nil {
@@ -73,14 +67,11 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 		// with a good one — the next Get will read that one; either way the
 		// corrupt bytes are never returned.
 		os.Remove(p)
-		c.evicted.Add(1)
-		c.misses.Add(1)
 		if c.Notice != nil {
 			c.Notice(key, verr)
 		}
 		return nil, false, nil
 	}
-	c.hits.Add(1)
 	return b, true, nil
 }
 
@@ -108,9 +99,3 @@ func (c *Cache) Put(key string, b []byte) error {
 		return werr
 	})
 }
-
-// Hits, Misses and Evictions report the Get outcomes since the cache was
-// opened (an eviction also counts as a miss).
-func (c *Cache) Hits() uint64      { return c.hits.Load() }
-func (c *Cache) Misses() uint64    { return c.misses.Load() }
-func (c *Cache) Evictions() uint64 { return c.evicted.Load() }

@@ -170,9 +170,6 @@ func TestRunCacheAndDedup(t *testing.T) {
 	if sum2.Simulated != 0 || sum2.CacheHits != 8 {
 		t.Fatalf("cached re-run summary = %s, want 0 simulated / 8 cached", sum2)
 	}
-	if cache2.Hits() != 8 || cache2.Misses() != 0 {
-		t.Fatalf("cache counters = %d hits / %d misses, want 8/0", cache2.Hits(), cache2.Misses())
-	}
 	for i := range first {
 		if !bytes.Equal(first[i].Metrics, second[i].Metrics) {
 			t.Fatalf("point %s: cached bytes differ from simulated bytes", first[i].Point.Label())

@@ -71,7 +71,7 @@ func BenchmarkWriteText(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		h.Observe(float64(i) * 0.004)
 	}
-	r.Gauge("bench_depth", "bench gauge").Set(3)
+	r.GaugeFunc("bench_depth", "bench gauge", func() float64 { return 3 })
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,5 +1,5 @@
 // Package telemetry is the repository's dependency-free metrics core: atomic
-// counters, gauges and fixed-bucket histograms behind a registry that writes
+// counters, scrape-time gauges and fixed-bucket histograms behind a registry that writes
 // Prometheus text-format v0.0.4 exposition. It exists so the production
 // surface (the simd server, the sweep engine, the CLIs) can be observed
 // without perturbing the property the whole repository is built on —
@@ -54,24 +54,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value reads the counter.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value.
-//
-//repro:noalloc
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by delta (negative deltas decrease it).
-//
-//repro:noalloc
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram: upper bounds are chosen at
 // registration and never change, so an observation is a linear scan over a
 // handful of bounds plus two atomic adds. The +Inf bucket is implicit.
@@ -103,15 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -126,7 +99,6 @@ const (
 type series struct {
 	labels  string // rendered label block without braces ("" when unlabelled)
 	counter *Counter
-	gauge   *Gauge
 	gaugeFn func() float64
 	hist    *Histogram
 }
@@ -161,13 +133,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	c := &Counter{}
 	r.register(name, help, TypeCounter, &series{labels: renderLabels(labels), counter: c})
 	return c
-}
-
-// Gauge registers a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, TypeGauge, &series{labels: renderLabels(labels), gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time — the
@@ -288,8 +253,6 @@ func writeSeries(b *strings.Builder, f *family, s *series) {
 	switch {
 	case s.counter != nil:
 		writeSample(b, f.name, s.labels, float64(s.counter.Value()))
-	case s.gauge != nil:
-		writeSample(b, f.name, s.labels, float64(s.gauge.Value()))
 	case s.gaugeFn != nil:
 		writeSample(b, f.name, s.labels, s.gaugeFn())
 	case s.hist != nil:

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestExpositionFormatCompliance(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs_total", "Terminal job outcomes.", "outcome", "done")
 	c2 := r.Counter("jobs_total", "Terminal job outcomes.", "outcome", "failed")
-	g := r.Gauge("queue_depth", "Jobs waiting to run.")
+	r.GaugeFunc("queue_depth", "Jobs waiting to run.", func() float64 { return 7 })
 	r.GaugeFunc("draining", "1 while a drain is in progress.", func() float64 { return 1 })
 	h := r.Histogram("run_seconds", "Wall time per simulation.", []float64{0.1, 1, 10})
 	r.Histogram("empty_seconds", "Never observed.", []float64{1})
@@ -23,7 +24,6 @@ func TestExpositionFormatCompliance(t *testing.T) {
 
 	c.Add(3)
 	c2.Inc()
-	g.Set(7)
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(99)
@@ -197,7 +197,7 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x")
 	mustPanic("duplicate series", func() { r.Counter("x_total", "x") })
-	mustPanic("type clash", func() { r.Gauge("x_total", "x") })
+	mustPanic("type clash", func() { r.GaugeFunc("x_total", "x", func() float64 { return 0 }) })
 	mustPanic("bad metric name", func() { r.Counter("x-y", "x") })
 	mustPanic("bad label name", func() { r.Counter("y_total", "y", "0bad", "v") })
 	mustPanic("le label", func() { r.Counter("z_total", "z", "le", "v") })
@@ -212,7 +212,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	h := r.Histogram("lat_seconds", "lat", DefBuckets)
-	g := r.Gauge("depth", "depth")
+	var depth atomic.Int64
+	r.GaugeFunc("depth", "depth", func() float64 { return float64(depth.Load()) })
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -222,7 +223,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				c.Inc()
-				g.Set(int64(i % 10))
+				depth.Store(int64(i % 10))
 				h.Observe(float64(i%100) / 100)
 				select {
 				case <-stop:
@@ -244,7 +245,11 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if c.Value() == 0 || h.Count() == 0 {
+	var observed uint64
+	for i := range h.counts {
+		observed += h.counts[i].Load()
+	}
+	if c.Value() == 0 || observed == 0 {
 		t.Fatal("writers made no progress")
 	}
 }
@@ -287,14 +292,11 @@ func TestProgressSnapshot(t *testing.T) {
 func TestInstrumentsAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a_total", "a")
-	g := r.Gauge("b", "b")
 	h := r.Histogram("c_seconds", "c", DefBuckets)
 	var p Progress
 	n := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		c.Add(2)
-		g.Set(3)
-		g.Add(-1)
 		h.Observe(0.42)
 		p.SetInstances(1)
 		p.SetCPU(2, 3)

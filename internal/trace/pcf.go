@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Labels is the PCF metadata: human-readable names for event types and for
@@ -37,24 +35,6 @@ func (l *Labels) SetValue(typ uint32, val int64, name string) {
 		l.Values[typ] = m
 	}
 	m[val] = name
-}
-
-// TypeName returns the label of an event type, or a numeric fallback.
-func (l *Labels) TypeName(typ uint32) string {
-	if n, ok := l.Types[typ]; ok {
-		return n
-	}
-	return fmt.Sprintf("type_%d", typ)
-}
-
-// ValueName returns the label of a value, or a numeric fallback.
-func (l *Labels) ValueName(typ uint32, val int64) string {
-	if m, ok := l.Values[typ]; ok {
-		if n, ok := m[val]; ok {
-			return n
-		}
-	}
-	return strconv.FormatInt(val, 10)
 }
 
 // WritePCF serializes the labels in a simplified PCF form:
@@ -95,65 +75,4 @@ func (l *Labels) WritePCF(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParsePCF reads labels previously written by WritePCF.
-func ParsePCF(r io.Reader) (*Labels, error) {
-	l := NewLabels()
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 1<<20), 1<<20)
-	var curType uint32
-	var haveType, inValues bool
-	lineNo := 0
-	for s.Scan() {
-		lineNo++
-		line := strings.TrimSpace(s.Text())
-		switch {
-		case line == "":
-			continue
-		case line == "EVENT_TYPE":
-			inValues = false
-			haveType = false
-		case line == "VALUES":
-			if !haveType {
-				return nil, fmt.Errorf("trace: pcf line %d: VALUES before EVENT_TYPE", lineNo)
-			}
-			inValues = true
-		case inValues:
-			val, name, err := splitNumLabel(line)
-			if err != nil {
-				return nil, fmt.Errorf("trace: pcf line %d: %w", lineNo, err)
-			}
-			l.SetValue(curType, val, name)
-		default:
-			// "0 <type> <label>"
-			fields := strings.SplitN(line, " ", 3)
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("trace: pcf line %d: bad type line %q", lineNo, line)
-			}
-			t, err := strconv.ParseUint(fields[1], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("trace: pcf line %d: %w", lineNo, err)
-			}
-			curType = uint32(t)
-			haveType = true
-			l.SetType(curType, fields[2])
-		}
-	}
-	if err := s.Err(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-func splitNumLabel(line string) (int64, string, error) {
-	fields := strings.SplitN(line, " ", 2)
-	if len(fields) < 2 {
-		return 0, "", fmt.Errorf("bad value line %q", line)
-	}
-	v, err := strconv.ParseInt(fields[0], 10, 64)
-	if err != nil {
-		return 0, "", err
-	}
-	return v, fields[1], nil
 }

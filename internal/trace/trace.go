@@ -5,9 +5,9 @@
 // timestamp may carry several semantic types (a PEBS sample, for example, is
 // one record with address, latency, source, IP and call-stack pairs).
 //
-// Two encodings are provided: a PRV-compatible text form for interchange and
-// a compact varint binary form for large traces, plus the PCF metadata file
-// that maps numeric event types and values to human-readable labels.
+// Records are encoded in a PRV-compatible text form, next to the PCF
+// metadata file that maps numeric event types and values to human-readable
+// labels.
 package trace
 
 import (
@@ -84,11 +84,10 @@ func (r *Record) Has(typ uint32) bool {
 // non-decreasing time order per (task, thread); the Merger handles global
 // ordering across threads.
 type Writer struct {
-	w       *bufio.Writer
-	buf     []byte // one record's encoding, reused by every Write
-	records uint64
-	lastNs  map[[2]int]uint64
-	closed  bool
+	w      *bufio.Writer
+	buf    []byte // one record's encoding, reused by every Write
+	lastNs map[[2]int]uint64
+	closed bool
 }
 
 // NewWriter wraps w. The PRV header line is written immediately; durationNs
@@ -143,12 +142,8 @@ func (tw *Writer) Write(r Record) error {
 	if _, err := tw.w.Write(b); err != nil {
 		return err
 	}
-	tw.records++
 	return nil
 }
-
-// Records returns the number of records written.
-func (tw *Writer) Records() uint64 { return tw.records }
 
 // Close flushes buffered output. The underlying writer is not closed.
 func (tw *Writer) Close() error {
@@ -164,7 +159,6 @@ type Reader struct {
 	s        *bufio.Scanner
 	nTasks   int
 	nThreads int
-	duration uint64
 	line     int
 }
 
@@ -184,7 +178,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := fmt.Sscanf(header, "#Paraver (%d):%d:%d", &dur, &tasks, &threads); err != nil {
 		return nil, fmt.Errorf("trace: bad header %q: %w", header, err)
 	}
-	return &Reader{s: s, nTasks: tasks, nThreads: threads, duration: dur, line: 1}, nil
+	return &Reader{s: s, nTasks: tasks, nThreads: threads, line: 1}, nil
 }
 
 // Tasks returns the task count declared in the header.
@@ -192,9 +186,6 @@ func (tr *Reader) Tasks() int { return tr.nTasks }
 
 // Threads returns the per-task thread count declared in the header.
 func (tr *Reader) Threads() int { return tr.nThreads }
-
-// DurationNs returns the duration declared in the header.
-func (tr *Reader) DurationNs() uint64 { return tr.duration }
 
 // Next returns the next record, or io.EOF at end of trace.
 func (tr *Reader) Next() (Record, error) {
